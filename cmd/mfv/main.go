@@ -11,6 +11,10 @@
 //	mfv diff      -topo before.json -topo2 after.json
 //	mfv coverage  -topo net.json
 //	mfv loops     -topo net.json
+//	mfv show      -topo net.json -node r1 [-cmd route|isis|isis-nbr|bgp|mpls|interfaces]
+//	mfv sweep     -topo net.json [-k 1|2] [-kinds link,node,bgp]
+//	              (exhaustive k-failure sweep; -k 1 -kinds link answers
+//	              "does the network survive any single link cut?")
 //	mfv scenarios -out DIR        (write the paper's Fig2/Fig3 topologies)
 //	mfv chaos     [-write DIR]    (list built-in fault scenarios)
 //	mfv chaos     -topo net.json [-scenario NAME|FILE] [-listen ADDR]
@@ -18,14 +22,15 @@
 //	mfv snapshot  save -topo net.json -file snap.mfv  (converge once, persist)
 //	mfv snapshot  load -file snap.mfv                 (validate + summarize)
 //
-// Crash safety: run and diff take -from-snapshot FILE (and diff
-// -from-snapshot2) to restore converged state from a durable snapshot
-// instead of booting the emulation; sweep -from-snapshot gates its baseline
-// on the snapshot's dataplane hash. sweep -journal DIR appends each verdict
-// to a write-ahead journal and sweep -resume DIR restores completed
+// Crash safety: run, diff, reach, trace, and loops take -from-snapshot FILE
+// (and diff -from-snapshot2) to restore converged state from a durable
+// snapshot instead of booting the emulation; sweep -from-snapshot gates its
+// baseline on the snapshot's dataplane hash. sweep -journal DIR appends each
+// verdict to a write-ahead journal and sweep -resume DIR restores completed
 // candidates after a crash, SIGINT, or -timeout expiry — the resumed report
-// is byte-identical to an uninterrupted run. SIGINT/SIGTERM cancel the run
-// context: the partial report is emitted and the exit code is 5.
+// is byte-identical to an uninterrupted run. Every subcommand that boots an
+// emulation honours -timeout DUR and SIGINT/SIGTERM: both cancel the run
+// context, whatever partial report exists is emitted, and the exit code is 5.
 //
 // The run command also takes -chaos NAME|FILE to inject a deterministic
 // fault scenario after convergence and -degraded to accept partial
@@ -33,8 +38,8 @@
 // verification worker pool (default NumCPU; results are byte-identical at
 // any worker count).
 //
-// run, diff, and chaos take -listen ADDR to serve live telemetry over HTTP
-// while the run is in flight: /metrics (Prometheus text), /metrics.json,
+// Every emulating subcommand takes -listen ADDR to serve live telemetry over
+// HTTP while the run is in flight: /metrics (Prometheus text), /metrics.json,
 // /events (SSE trace stream), /phases, /healthz, /readyz (ready once
 // converged), and an embedded dashboard at /. -hold-open DUR keeps the
 // endpoint up after the run completes; -json emits the -metrics/-timeline
@@ -59,6 +64,7 @@ import (
 	"runtime"
 	"runtime/pprof"
 	"sort"
+	"strings"
 	"syscall"
 	"time"
 
@@ -75,49 +81,79 @@ const (
 	exitTimeout   = 5 // the -timeout wall-clock budget expired mid-run
 )
 
-// violationError marks a verification violation — the pipeline worked and
-// found the network broken — so scripts can distinguish it (exit 3) from
-// operational failures (exit 1).
-type violationError struct{ msg string }
-
-func (e violationError) Error() string { return e.msg }
-
-func violationf(format string, args ...any) error {
-	return violationError{msg: fmt.Sprintf(format, args...)}
+// codedError is a command error that maps to one of the documented exit
+// codes; anything else is an operational failure (exit 1).
+type codedError struct {
+	code int
+	msg  string
 }
 
-// degradedError marks a run that completed with contained damage: routers
+func (e codedError) Error() string { return e.msg }
+
+// violationf marks a verification violation — the pipeline worked and found
+// the network broken — so scripts can distinguish it (exit 3) from
+// operational failures (exit 1).
+func violationf(format string, args ...any) error {
+	return codedError{exitViolation, fmt.Sprintf(format, args...)}
+}
+
+// degradedf marks a run that completed with contained damage: routers
 // quarantined after hostile input, or stragglers that never settled under
 // -degraded. The verdict is trustworthy for the healthy routers but exit 4
 // tells scripts the result is partial.
-type degradedError struct{ msg string }
-
-func (e degradedError) Error() string { return e.msg }
-
 func degradedf(format string, args ...any) error {
-	return degradedError{msg: fmt.Sprintf(format, args...)}
+	return codedError{exitDegraded, fmt.Sprintf(format, args...)}
 }
 
-// timeoutError marks a run cut short by the -timeout wall-clock budget. It
-// outranks the other error classes in main's exit-code mapping: a violation
-// found in a partial sweep is still reported, but the exit code must say
-// "incomplete" so scripts don't trust a truncated verdict.
-type timeoutError struct{ msg string }
-
-func (e timeoutError) Error() string { return e.msg }
-
+// timeoutf marks a run cut short by the -timeout wall-clock budget or a
+// signal. It outranks the other classes: a violation found in a partial
+// sweep is still reported, but the exit code must say "incomplete" so
+// scripts don't trust a truncated verdict.
 func timeoutf(format string, args ...any) error {
-	return timeoutError{msg: fmt.Sprintf(format, args...)}
+	return codedError{exitTimeout, fmt.Sprintf(format, args...)}
 }
 
-// usageError marks an invalid flag value caught after parsing (exit 2, like
+// usagef marks an invalid flag value caught after parsing (exit 2, like
 // flag-package parse failures).
-type usageError struct{ msg string }
-
-func (e usageError) Error() string { return e.msg }
-
 func usagef(format string, args ...any) error {
-	return usageError{msg: fmt.Sprintf(format, args...)}
+	return codedError{exitUsage, fmt.Sprintf(format, args...)}
+}
+
+// subcommands is the dispatch table; usage's headline and the unknown-
+// subcommand error are both derived from it.
+var subcommands = []struct {
+	name string
+	run  func(args []string) error
+}{
+	{"run", cmdRun},
+	{"lint", cmdLint},
+	{"reach", cmdReach},
+	{"trace", cmdTrace},
+	{"diff", cmdDiff},
+	{"coverage", cmdCoverage},
+	{"loops", cmdLoops},
+	{"show", cmdShow},
+	{"scenarios", cmdScenarios},
+	{"chaos", cmdChaos},
+	{"sweep", cmdSweep},
+	{"snapshot", cmdSnapshot},
+}
+
+func subcommandNames() string {
+	names := make([]string, len(subcommands))
+	for i, c := range subcommands {
+		names[i] = c.name
+	}
+	return strings.Join(names, "|")
+}
+
+func dispatch(cmd string, args []string) error {
+	for _, c := range subcommands {
+		if c.name == cmd {
+			return c.run(args)
+		}
+	}
+	return usagef("unknown subcommand %q (want %s)", cmd, subcommandNames())
 }
 
 func main() {
@@ -125,40 +161,7 @@ func main() {
 		usage()
 		os.Exit(exitUsage)
 	}
-	cmd, args := os.Args[1], os.Args[2:]
-	var err error
-	switch cmd {
-	case "run":
-		err = cmdRun(args)
-	case "lint":
-		err = cmdLint(args)
-	case "reach":
-		err = cmdReach(args)
-	case "trace":
-		err = cmdTrace(args)
-	case "diff":
-		err = cmdDiff(args)
-	case "coverage":
-		err = cmdCoverage(args)
-	case "loops":
-		err = cmdLoops(args)
-	case "show":
-		err = cmdShow(args)
-	case "whatif":
-		err = cmdWhatIf(args)
-	case "scenarios":
-		err = cmdScenarios(args)
-	case "chaos":
-		err = cmdChaos(args)
-	case "sweep":
-		err = cmdSweep(args)
-	case "snapshot":
-		err = cmdSnapshot(args)
-	default:
-		usage()
-		os.Exit(exitUsage)
-	}
-	if err != nil {
+	if err := dispatch(os.Args[1], os.Args[2:]); err != nil {
 		fmt.Fprintln(os.Stderr, "mfv:", err)
 		os.Exit(exitCode(err))
 	}
@@ -173,27 +176,15 @@ func exitCode(err error) int {
 	if err == nil {
 		return exitOK
 	}
-	var u usageError
-	if errors.As(err, &u) {
-		return exitUsage
-	}
-	var t timeoutError
-	if errors.As(err, &t) {
-		return exitTimeout
-	}
-	var v violationError
-	if errors.As(err, &v) {
-		return exitViolation
-	}
-	var d degradedError
-	if errors.As(err, &d) {
-		return exitDegraded
+	var c codedError
+	if errors.As(err, &c) {
+		return c.code
 	}
 	return exitError
 }
 
 func usage() {
-	fmt.Fprintln(os.Stderr, `usage: mfv <run|lint|reach|trace|diff|coverage|loops|scenarios|chaos|sweep|snapshot> [flags]
+	fmt.Fprintln(os.Stderr, "usage: mfv <"+subcommandNames()+`> [flags]
   run       run the pipeline, print route summary and convergence timing
   lint      preflight snapshot validation without booting the emulation
             (-live additionally runs the pipeline and audits AFTs vs RIBs)
@@ -203,7 +194,6 @@ func usage() {
   coverage  model-based parsing coverage report (experiment E2 style)
   loops     detect forwarding loops across all packet classes
   show      operator-style router inspection (route|isis|bgp|mpls|interfaces)
-  whatif    single-link-cut exploration with per-cut differentials
   scenarios write the paper's evaluation topologies to a directory
   chaos     list built-in fault scenarios (-write DIR emits them as JSON);
             with -topo, execute -scenario NAME|FILE against the topology
@@ -211,29 +201,32 @@ func usage() {
             (-k 1) or pair (-k 2) failure of links, nodes, and BGP services,
             verify each against the healthy baseline, and rank blast radii
             worst-first (-kinds link,node,bgp restricts elements, -brute
-            disables the prunes, -top N truncates the table)
+            disables the prunes, -top N truncates the table); -k 1 -kinds link
+            is the "any single link cut" check
   snapshot  save: converge once and persist the result as a durable,
             CRC-checksummed snapshot file; load: validate and summarize one
 
 robustness flags (run): -chaos NAME|FILE (inject a fault scenario after
   convergence and verify across it), -degraded (accept partial convergence
   on timeout; stragglers are reported, not fatal)
-crash-safety flags: -from-snapshot FILE on run/diff/sweep (restore converged
-  state instead of booting; diff also takes -from-snapshot2; sweep gates its
-  baseline on the snapshot's dataplane hash); sweep -journal DIR (write-ahead
-  journal of per-candidate verdicts), sweep -resume DIR (skip journaled
-  candidates after a crash; the resumed report is byte-identical to an
-  uninterrupted run), sweep -retry-budget N (attempts before a panicking
-  candidate is poisoned in the report, default 3)
-budget flags (run/diff/chaos/sweep): -timeout DUR (wall-clock budget; an
-  expired budget stops the run between steps, emits the partial report, and
-  exits 5); SIGINT/SIGTERM cancel the same context — partial report, exit 5
-observability flags (run/diff/chaos): -trace FILE (JSONL event trace,
-  virtual time), -metrics (phase timings + metrics registry), -timeline
-  (per-router convergence report), -json (machine-readable report instead
-  of tables), -listen ADDR (live HTTP telemetry: /metrics Prometheus text,
-  /metrics.json, /events SSE stream, /phases, /healthz, /readyz, dashboard
-  at /), -hold-open DUR (keep -listen serving after the run completes)
+crash-safety flags: -from-snapshot FILE on run/diff/reach/trace/loops (restore
+  converged state instead of booting; diff also takes -from-snapshot2) and on
+  sweep (gates its baseline on the snapshot's dataplane hash); sweep
+  -journal DIR (write-ahead journal of per-candidate verdicts), sweep
+  -resume DIR (skip journaled candidates after a crash; the resumed report
+  is byte-identical to an uninterrupted run), sweep -retry-budget N (attempts
+  before a panicking candidate is poisoned in the report, default 3)
+budget flags (every subcommand that boots an emulation): -timeout DUR
+  (wall-clock budget; an expired budget stops the run between steps, emits
+  whatever partial report exists, and exits 5); SIGINT/SIGTERM cancel the
+  same context — partial report, exit 5
+observability flags: -listen ADDR (every emulating subcommand; live HTTP
+  telemetry: /metrics Prometheus text, /metrics.json, /events SSE stream,
+  /phases, /healthz, /readyz, dashboard at /), -hold-open DUR (keep -listen
+  serving after the run completes); run/diff/chaos also take -trace FILE
+  (JSONL event trace, virtual time), -metrics (phase timings + metrics
+  registry), -timeline (per-router convergence report), -json
+  (machine-readable report instead of tables)
 performance flags: -workers N (worker-pool size for verification and the
   sweep's replica lanes, default GOMAXPROCS; results are byte-identical at
   any worker count — sweep additionally takes -replicas N and -mem-budget B
@@ -241,7 +234,7 @@ performance flags: -workers N (worker-pool size for verification and the
   -shard-regions (converge disconnected topology regions in parallel
   emulators and stream their tables into one verification snapshot — the
   10k-router scale path; incompatible with -chaos and -gnmi);
-  run and diff also take -cpuprofile FILE / -memprofile FILE (pprof)
+  every emulating subcommand takes -cpuprofile FILE / -memprofile FILE (pprof)
 exit codes: 0 ok, 1 operational error, 2 usage, 3 verification violation,
   4 degraded run (quarantined or never-settled routers), 5 wall-clock
   budget exhausted (-timeout)`)
@@ -305,48 +298,9 @@ func newFlags(name string) *runFlags {
 	f.fs.DurationVar(&f.budget, "timeout", 0, "wall-clock budget; when it expires the run stops between steps, emits its partial report, and exits 5")
 	f.fs.StringVar(&f.cpuprof, "cpuprofile", "", "write a CPU profile to this file (go tool pprof format)")
 	f.fs.StringVar(&f.memprof, "memprofile", "", "write a heap profile to this file on exit")
-	f.fs.StringVar(&f.fromSnap, "from-snapshot", "", "restore converged state from this snapshot file (run/diff skip the emulation boot; sweep cross-checks its baseline against the snapshot)")
+	f.fs.StringVar(&f.fromSnap, "from-snapshot", "", "restore converged state from this snapshot file (run/diff/reach/trace/loops skip the emulation boot; sweep cross-checks its baseline against the snapshot)")
 	f.fs.StringVar(&f.fromSnap2, "from-snapshot2", "", "snapshot file for the second side of diff")
 	return f
-}
-
-// profile starts CPU profiling if requested and returns a stop function
-// that finishes the CPU profile and writes the heap profile. Call it after
-// flag parsing and defer the stop.
-func (f *runFlags) profile() (func() error, error) {
-	var cpuFile *os.File
-	if f.cpuprof != "" {
-		var err error
-		cpuFile, err = os.Create(f.cpuprof)
-		if err != nil {
-			return nil, err
-		}
-		if err := pprof.StartCPUProfile(cpuFile); err != nil {
-			cpuFile.Close()
-			return nil, err
-		}
-	}
-	return func() error {
-		if cpuFile != nil {
-			pprof.StopCPUProfile()
-			if err := cpuFile.Close(); err != nil {
-				return err
-			}
-		}
-		if f.memprof != "" {
-			w, err := os.Create(f.memprof)
-			if err != nil {
-				return err
-			}
-			runtime.GC() // up-to-date live-object statistics
-			if err := pprof.WriteHeapProfile(w); err != nil {
-				w.Close()
-				return err
-			}
-			return w.Close()
-		}
-		return nil
-	}, nil
 }
 
 // loadChaos resolves the -chaos flag: a builtin scenario name first, else a
@@ -409,36 +363,19 @@ func (f *runFlags) withServe(body func() error) error {
 	return bodyErr
 }
 
-// timelineRow is the JSON form of one convergence-timeline entry.
-type timelineRow struct {
-	Router       string `json:"router"`
-	LastChangeNS int64  `json:"last_change_ns"`
-	Routes       int    `json:"routes"`
-}
-
 // reportJSON writes the -json machine-readable report: the shared snapshot
 // codec (metrics + phases) plus the convergence timeline when requested.
-func (f *runFlags) reportJSON(res *mfv.Result) error {
+func (f *runFlags) reportJSON(res *mfv.Result, timeline []mfv.TimelineEntry) error {
 	snap := f.obs.SnapshotJSON()
 	doc := struct {
-		Backend  string        `json:"backend"`
-		Metrics  any           `json:"metrics"`
-		Phases   any           `json:"phases,omitempty"`
-		Timeline []timelineRow `json:"timeline,omitempty"`
-		Chaos    any           `json:"chaos,omitempty"`
-	}{Backend: res.Backend.String(), Metrics: snap.Metrics, Phases: snap.Phases}
+		Backend  string              `json:"backend"`
+		Metrics  any                 `json:"metrics"`
+		Phases   any                 `json:"phases,omitempty"`
+		Timeline []mfv.TimelineEntry `json:"timeline,omitempty"`
+		Chaos    any                 `json:"chaos,omitempty"`
+	}{Backend: res.Backend.String(), Metrics: snap.Metrics, Phases: snap.Phases, Timeline: timeline}
 	if res.Chaos != nil {
 		doc.Chaos = res.Chaos
-	}
-	if f.timeline {
-		if res.Emulator == nil {
-			return fmt.Errorf("-timeline requires the emulation backend")
-		}
-		for _, t := range res.Emulator.ConvergenceTimeline() {
-			doc.Timeline = append(doc.Timeline, timelineRow{
-				Router: t.Router, LastChangeNS: int64(t.LastChange), Routes: t.Routes,
-			})
-		}
 	}
 	enc := json.NewEncoder(os.Stdout)
 	enc.SetIndent("", "  ")
@@ -447,26 +384,26 @@ func (f *runFlags) reportJSON(res *mfv.Result) error {
 
 // report writes the requested observability outputs for a completed run.
 func (f *runFlags) report(res *mfv.Result) error {
-	if f.jsonOut {
-		if err := f.reportJSON(res); err != nil {
-			return err
-		}
-	}
-	if f.timeline && !f.jsonOut {
+	var timeline []mfv.TimelineEntry
+	if f.timeline {
 		if res.Emulator == nil {
 			return fmt.Errorf("-timeline requires the emulation backend")
 		}
-		fmt.Printf("%-12s %16s %10s\n", "router", "last-change", "routes")
-		for _, t := range res.Emulator.ConvergenceTimeline() {
-			fmt.Printf("%-12s %16v %10d\n", t.Router, t.LastChange.Round(1e6), t.Routes)
-		}
+		timeline = res.Emulator.ConvergenceTimeline()
 	}
-	if f.metrics && !f.jsonOut {
-		if pt := f.obs.PhaseTable(); pt != "" {
-			fmt.Print(pt)
+	if f.jsonOut {
+		if err := f.reportJSON(res, timeline); err != nil {
+			return err
 		}
-		if mt := f.obs.MetricsTable(); mt != "" {
-			fmt.Print(mt)
+	} else {
+		if f.timeline {
+			fmt.Printf("%-12s %16s %10s\n", "router", "last-change", "routes")
+			for _, t := range timeline {
+				fmt.Printf("%-12s %16v %10d\n", t.Router, t.LastChange.Round(1e6), t.Routes)
+			}
+		}
+		if f.metrics {
+			fmt.Print(f.obs.PhaseTable(), f.obs.MetricsTable())
 		}
 	}
 	if f.trace != "" {
@@ -497,31 +434,6 @@ func (f *runFlags) loadTopo(path string) (*mfv.Topology, error) {
 	return mfv.ParseTopology(data)
 }
 
-func (f *runFlags) options() (mfv.Options, error) {
-	opts := mfv.Options{UseGNMI: f.gnmi, Obs: f.observer(), Degraded: f.degraded, ShardRegions: f.sharded, Workers: f.workers, Ctx: f.ctx}
-	if f.backend == "model" {
-		opts.Backend = mfv.BackendModel
-	}
-	sc, err := f.loadChaos()
-	if err != nil {
-		return opts, err
-	}
-	opts.Chaos = sc
-	return opts, nil
-}
-
-func (f *runFlags) run(path string) (*mfv.Result, error) {
-	topo, err := f.loadTopo(path)
-	if err != nil {
-		return nil, err
-	}
-	opts, err := f.options()
-	if err != nil {
-		return nil, err
-	}
-	return mfv.Run(mfv.Snapshot{Topology: topo}, opts)
-}
-
 // loadSnapshot reads and validates a snapshot file. When a -topo file is
 // also on the command line the two are cross-checked by topology hash: a
 // snapshot silently restored against the wrong topology would verify a
@@ -547,21 +459,69 @@ func (f *runFlags) loadSnapshot(path, topoPath string) (*mfv.StoredSnapshot, err
 	return snap, nil
 }
 
-// runFrom produces a Result from either a topology file (full pipeline) or
-// a -from-snapshot file (validated restore, no emulation boot).
-func (f *runFlags) runFrom(topoPath, snapPath string) (*mfv.Result, error) {
+// input resolves where the network comes from: the -topo file, or — when
+// snapPath is set — a validated snapshot file and the topology embedded in
+// it (cross-checked against topoPath when both are given).
+func (f *runFlags) input(topoPath, snapPath string) (*mfv.Topology, *mfv.StoredSnapshot, error) {
 	if snapPath == "" {
-		return f.run(topoPath)
+		topo, err := f.loadTopo(topoPath)
+		return topo, nil, err
 	}
 	snap, err := f.loadSnapshot(snapPath, topoPath)
 	if err != nil {
+		return nil, nil, err
+	}
+	topo, err := snap.Topology()
+	return topo, snap, err
+}
+
+// pipeline produces the Result: restored from snap when non-nil (no
+// emulation boot), otherwise by running the -backend pipeline on topo.
+func (f *runFlags) pipeline(topo *mfv.Topology, snap *mfv.StoredSnapshot) (*mfv.Result, error) {
+	opts := mfv.Options{UseGNMI: f.gnmi, Obs: f.observer(), Degraded: f.degraded, ShardRegions: f.sharded, Workers: f.workers, Ctx: f.ctx}
+	if f.backend == "model" {
+		opts.Backend = mfv.BackendModel
+	}
+	var err error
+	if opts.Chaos, err = f.loadChaos(); err != nil {
 		return nil, err
 	}
-	opts, err := f.options()
+	if snap != nil {
+		return mfv.RunFromSnapshot(snap, opts)
+	}
+	return mfv.Run(mfv.Snapshot{Topology: topo}, opts)
+}
+
+// result is the front end every querying subcommand shares: input, then
+// pipeline, returning the Result together with the topology it describes.
+func (f *runFlags) result(topoPath, snapPath string) (*mfv.Result, *mfv.Topology, error) {
+	topo, snap, err := f.input(topoPath, snapPath)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
-	return mfv.RunFromSnapshot(snap, opts)
+	res, err := f.pipeline(topo, snap)
+	return res, topo, err
+}
+
+// bracket is the one wrapper every subcommand that boots an emulation runs
+// its body in: the -timeout/signal budget outermost (so its verdict on the
+// exit code is final), then the pprof hooks, then the -listen endpoint.
+func (f *runFlags) bracket(body func() error) error {
+	return f.withBudget(func() error {
+		return f.withProfiles(func() error { return f.withServe(body) })
+	})
+}
+
+// query is the shape of every single-network subcommand: inside the
+// bracket, produce the command line's Result and ask it one question.
+func (f *runFlags) query(ask func(res *mfv.Result) error) error {
+	return f.bracket(func() error {
+		res, _, err := f.result(f.topo, f.fromSnap)
+		if err != nil {
+			return err
+		}
+		return ask(res)
+	})
 }
 
 // withBudget brackets a command body with the -timeout wall-clock budget
@@ -600,32 +560,53 @@ func (f *runFlags) withBudget(body func() error) error {
 // hooks, keeping the body's error (a violation exit code must survive
 // profile teardown).
 func (f *runFlags) withProfiles(body func() error) error {
-	stop, err := f.profile()
+	stop := func() error { return nil }
+	if f.cpuprof != "" {
+		w, err := os.Create(f.cpuprof)
+		if err != nil {
+			return err
+		}
+		if err := pprof.StartCPUProfile(w); err != nil {
+			w.Close()
+			return err
+		}
+		stop = func() error {
+			pprof.StopCPUProfile()
+			return w.Close()
+		}
+	}
+	bodyErr := body()
+	perr := stop()
+	if perr == nil && f.memprof != "" {
+		perr = writeHeapProfile(f.memprof)
+	}
+	if bodyErr != nil {
+		return bodyErr
+	}
+	return perr
+}
+
+func writeHeapProfile(path string) error {
+	w, err := os.Create(path)
 	if err != nil {
 		return err
 	}
-	bodyErr := body()
-	if perr := stop(); perr != nil && bodyErr == nil {
-		return perr
+	runtime.GC() // up-to-date live-object statistics
+	if err := pprof.WriteHeapProfile(w); err != nil {
+		w.Close()
+		return err
 	}
-	return bodyErr
+	return w.Close()
 }
 
 func cmdRun(args []string) error {
 	f := newFlags("run")
 	f.fs.Parse(args)
-	return f.withBudget(func() error {
-		return f.withProfiles(func() error {
-			return f.withServe(func() error { return runBody(f) })
-		})
-	})
+	return f.query(f.runReport)
 }
 
-func runBody(f *runFlags) error {
-	res, err := f.runFrom(f.topo, f.fromSnap)
-	if err != nil {
-		return err
-	}
+// runReport prints the run summary and maps the Result to an exit class.
+func (f *runFlags) runReport(res *mfv.Result) error {
 	// With -json, stdout is reserved for the JSON document — the human
 	// summary moves to stderr so the output stays pipeable.
 	out := os.Stdout
@@ -688,142 +669,122 @@ func cmdLint(args []string) error {
 	f := newFlags("lint")
 	live := f.fs.Bool("live", false, "also run the pipeline and cross-check extracted AFTs against RIBs")
 	f.fs.Parse(args)
-	topo, err := f.loadTopo(f.topo)
-	if err != nil {
-		return err
-	}
-	findings := mfv.LintSnapshot(topo)
-	if *live && findings.Max() < mfv.SevFatal {
-		opts, err := f.options()
+	return f.bracket(func() error {
+		topo, err := f.loadTopo(f.topo)
 		if err != nil {
 			return err
 		}
-		res, err := mfv.Run(mfv.Snapshot{Topology: topo}, opts)
-		if err != nil {
-			return err
+		findings := mfv.LintSnapshot(topo)
+		if *live && findings.Max() < mfv.SevFatal {
+			res, err := f.pipeline(topo, nil)
+			if err != nil {
+				return err
+			}
+			findings = append(findings, mfv.LintAFTs(topo, res.AFTs)...)
+			if res.Emulator != nil {
+				findings = append(findings, mfv.LintLive(res.Emulator)...)
+			}
+			findings.Sort()
 		}
-		findings = append(findings, mfv.LintAFTs(topo, res.AFTs)...)
-		if res.Emulator != nil {
-			findings = append(findings, mfv.LintLive(res.Emulator)...)
+		if len(findings) == 0 {
+			fmt.Println("lint: clean")
+			return nil
 		}
-		findings.Sort()
-	}
-	if len(findings) == 0 {
-		fmt.Println("lint: clean")
+		errs := 0
+		for _, d := range findings {
+			fmt.Println(d)
+			if d.Sev >= mfv.SevError {
+				errs++
+			}
+		}
+		if errs > 0 {
+			return violationf("lint: %d findings at error or above (%d total)", errs, len(findings))
+		}
+		fmt.Printf("lint: %d warnings\n", len(findings))
 		return nil
-	}
-	errs := 0
-	for _, d := range findings {
-		fmt.Println(d)
-		if d.Sev >= mfv.SevError {
-			errs++
-		}
-	}
-	if errs > 0 {
-		return violationf("lint: %d findings at error or above (%d total)", errs, len(findings))
-	}
-	fmt.Printf("lint: %d warnings\n", len(findings))
-	return nil
+	})
 }
 
 func cmdReach(args []string) error {
 	f := newFlags("reach")
 	f.fs.Parse(args)
-	res, err := f.run(f.topo)
-	if err != nil {
-		return err
-	}
-	dst, err := netip.ParseAddr(f.dst)
-	if err != nil {
-		return fmt.Errorf("bad -dst: %w", err)
-	}
-	if f.src == "" {
-		// All sources.
+	return f.query(func(res *mfv.Result) error {
+		dst, err := netip.ParseAddr(f.dst)
+		if err != nil {
+			return fmt.Errorf("bad -dst: %w", err)
+		}
+		// No -src asks the question from every device.
+		srcs := []string{f.src}
+		if f.src == "" {
+			srcs = res.Network.Devices()
+		}
 		unreachable := 0
-		for _, src := range res.Network.Devices() {
+		for _, src := range srcs {
 			ok := res.Network.Reachable(src, dst)
 			if !ok {
 				unreachable++
 			}
 			fmt.Printf("%s -> %v: %v\n", src, dst, ok)
 		}
-		if unreachable > 0 {
-			return violationf("%d sources cannot reach %v", unreachable, dst)
+		switch {
+		case unreachable == 0:
+			return nil
+		case f.src != "":
+			return violationf("%s cannot reach %v", f.src, dst)
 		}
-		return nil
-	}
-	ok := res.Network.Reachable(f.src, dst)
-	fmt.Printf("%s -> %v: %v\n", f.src, dst, ok)
-	if !ok {
-		return violationf("%s cannot reach %v", f.src, dst)
-	}
-	return nil
+		return violationf("%d sources cannot reach %v", unreachable, dst)
+	})
 }
 
 func cmdTrace(args []string) error {
 	f := newFlags("trace")
 	f.fs.Parse(args)
-	res, err := f.run(f.topo)
-	if err != nil {
-		return err
-	}
-	dst, err := netip.ParseAddr(f.dst)
-	if err != nil {
-		return fmt.Errorf("bad -dst: %w", err)
-	}
-	if f.src == "" {
-		return fmt.Errorf("missing -src")
-	}
-	for _, p := range res.Network.Trace(f.src, dst).Paths {
-		fmt.Println(p)
-	}
-	return nil
+	return f.query(func(res *mfv.Result) error {
+		dst, err := netip.ParseAddr(f.dst)
+		if err != nil {
+			return fmt.Errorf("bad -dst: %w", err)
+		}
+		if f.src == "" {
+			return fmt.Errorf("missing -src")
+		}
+		for _, p := range res.Network.Trace(f.src, dst).Paths {
+			fmt.Println(p)
+		}
+		return nil
+	})
 }
 
 func cmdDiff(args []string) error {
 	f := newFlags("diff")
 	f.fs.Parse(args)
-	return f.withBudget(func() error {
-		return f.withProfiles(func() error {
-			return f.withServe(func() error { return diffBody(f) })
-		})
+	return f.query(func(before *mfv.Result) error {
+		after, _, err := f.result(f.topo2, f.fromSnap2)
+		if err != nil {
+			return err
+		}
+		diffs := mfv.DifferentialReachability(before, after)
+		// Both runs share one observer, so the report covers the pipelines and
+		// the differential query (including the batch engine's memo counters).
+		if err := f.report(after); err != nil {
+			return err
+		}
+		if len(diffs) == 0 {
+			fmt.Println("no forwarding differences")
+			return nil
+		}
+		for _, d := range diffs {
+			fmt.Println(d)
+		}
+		fmt.Printf("%d changed flows\n", len(diffs))
+		return violationf("%d changed flows", len(diffs))
 	})
-}
-
-func diffBody(f *runFlags) error {
-	before, err := f.runFrom(f.topo, f.fromSnap)
-	if err != nil {
-		return err
-	}
-	after, err := f.runFrom(f.topo2, f.fromSnap2)
-	if err != nil {
-		return err
-	}
-	diffs := mfv.DifferentialReachability(before, after)
-	// Both runs share one observer, so the report covers the pipelines and
-	// the differential query (including the batch engine's memo counters).
-	if err := f.report(after); err != nil {
-		return err
-	}
-	if len(diffs) == 0 {
-		fmt.Println("no forwarding differences")
-		return nil
-	}
-	for _, d := range diffs {
-		fmt.Println(d)
-	}
-	fmt.Printf("%d changed flows\n", len(diffs))
-	return violationf("%d changed flows", len(diffs))
 }
 
 func cmdCoverage(args []string) error {
 	f := newFlags("coverage")
 	f.fs.Parse(args)
-	topo, err := f.loadTopo(f.topo)
-	if err != nil {
-		return err
-	}
-	res, err := mfv.Run(mfv.Snapshot{Topology: topo}, mfv.Options{Backend: mfv.BackendModel})
+	f.backend = "model"
+	res, _, err := f.result(f.topo, "")
 	if err != nil {
 		return err
 	}
@@ -843,86 +804,51 @@ func cmdCoverage(args []string) error {
 func cmdLoops(args []string) error {
 	f := newFlags("loops")
 	f.fs.Parse(args)
-	res, err := f.run(f.topo)
-	if err != nil {
-		return err
-	}
-	loops := res.Network.DetectLoops()
-	if len(loops) == 0 {
-		fmt.Println("no forwarding loops")
-		return nil
-	}
-	for _, l := range loops {
-		fmt.Printf("loop: dst class %v from %s: %s\n", l.Dst, l.Src, l.Path)
-	}
-	return violationf("%d loops found", len(loops))
+	return f.query(func(res *mfv.Result) error {
+		loops := res.Network.DetectLoops()
+		if len(loops) == 0 {
+			fmt.Println("no forwarding loops")
+			return nil
+		}
+		for _, l := range loops {
+			fmt.Printf("loop: dst class %v from %s: %s\n", l.Dst, l.Src, l.Path)
+		}
+		return violationf("%d loops found", len(loops))
+	})
 }
 
 func cmdShow(args []string) error {
 	f := newFlags("show")
 	f.fs.Parse(args)
-	res, err := f.run(f.topo)
-	if err != nil {
-		return err
-	}
-	if res.Emulator == nil {
-		return fmt.Errorf("show requires the emulation backend")
-	}
-	if f.node == "" {
-		return fmt.Errorf("missing -node")
-	}
-	r, ok := res.Emulator.Router(f.node)
-	if !ok {
-		return fmt.Errorf("no router %q", f.node)
-	}
-	switch f.cmd {
-	case "route":
-		fmt.Print(r.ShowIPRoute())
-	case "isis":
-		fmt.Print(r.ShowISISDatabase())
-	case "isis-nbr":
-		fmt.Print(r.ShowISISNeighbors())
-	case "bgp":
-		fmt.Print(r.ShowBGPSummary())
-	case "mpls":
-		fmt.Print(r.ShowMPLSTunnels())
-	case "interfaces":
-		fmt.Print(r.ShowInterfaces())
-	default:
-		return fmt.Errorf("unknown show command %q", f.cmd)
-	}
-	return nil
-}
-
-func cmdWhatIf(args []string) error {
-	f := newFlags("whatif")
-	f.fs.Parse(args)
-	topo, err := f.loadTopo(f.topo)
-	if err != nil {
-		return err
-	}
-	opts, err := f.options()
-	if err != nil {
-		return err
-	}
-	findings, err := mfv.ExploreSingleLinkFailures(mfv.Snapshot{Topology: topo}, opts)
-	if err != nil {
-		return err
-	}
-	for _, fd := range findings {
-		verdict := "absorbed"
-		if fd.LostFlows > 0 {
-			verdict = fmt.Sprintf("loses %d flows", fd.LostFlows)
+	return f.query(func(res *mfv.Result) error {
+		if res.Emulator == nil {
+			return fmt.Errorf("show requires the emulation backend")
 		}
-		fmt.Printf("cut %-22s %s\n", fd.Cut, verdict)
-	}
-	ok, violations := mfv.SurvivesAnySingleLinkCut(findings)
-	fmt.Printf("survives any single link cut: %v\n", ok)
-	if !ok {
-		fmt.Printf("critical links: %v\n", violations)
-		return violationf("%d critical links", len(violations))
-	}
-	return nil
+		if f.node == "" {
+			return fmt.Errorf("missing -node")
+		}
+		r, ok := res.Emulator.Router(f.node)
+		if !ok {
+			return fmt.Errorf("no router %q", f.node)
+		}
+		switch f.cmd {
+		case "route":
+			fmt.Print(r.ShowIPRoute())
+		case "isis":
+			fmt.Print(r.ShowISISDatabase())
+		case "isis-nbr":
+			fmt.Print(r.ShowISISNeighbors())
+		case "bgp":
+			fmt.Print(r.ShowBGPSummary())
+		case "mpls":
+			fmt.Print(r.ShowMPLSTunnels())
+		case "interfaces":
+			fmt.Print(r.ShowInterfaces())
+		default:
+			return fmt.Errorf("unknown show command %q", f.cmd)
+		}
+		return nil
+	})
 }
 
 func cmdScenarios(args []string) error {
@@ -959,7 +885,7 @@ func cmdScenarios(args []string) error {
 func cmdSweep(args []string) error {
 	f := newFlags("sweep")
 	k := f.fs.Int("k", 1, "failure depth: 1 (all singles) or 2 (singles + pairs)")
-	kinds := f.fs.String("kinds", "link,node,bgp", "comma-separated failure element kinds")
+	kindCSV := f.fs.String("kinds", "link,node,bgp", "comma-separated failure element kinds")
 	brute := f.fs.Bool("brute", false, "disable the fingerprint and independence prunes (every candidate applied and verified)")
 	top := f.fs.Int("top", 0, "print only the worst N rows (0 = all)")
 	replicas := f.fs.Int("replicas", 0, "emulation replica lanes for the apply/settle/rollback chains (0 = derive from -workers; capped by the memory budget)")
@@ -984,80 +910,60 @@ func cmdSweep(args []string) error {
 		}
 		journalDir, resuming = *resume, true
 	}
-	return f.withBudget(func() error {
-		return f.withProfiles(func() error {
-			return f.withServe(func() error {
-				return sweepBody(f, *k, *kinds, *brute, *top, *replicas, *memBudget, journalDir, resuming, *retry)
-			})
+	return f.bracket(func() error {
+		kinds, err := mfv.ParseSweepKinds(*kindCSV)
+		if err != nil {
+			return err
+		}
+		// -from-snapshot supplies the topology (the snapshot embeds it) and,
+		// after the baseline converges, gates the sweep on dataplane-hash
+		// equality: journaled verdicts are only comparable when the healthy
+		// baseline is the one the snapshot captured.
+		topo, snap, err := f.input(f.topo, f.fromSnap)
+		if err != nil {
+			return err
+		}
+		res, err := f.pipeline(topo, nil)
+		if err != nil {
+			return err
+		}
+		if snap != nil {
+			if got := mfv.DataplaneHash(res.AFTs); got != snap.DataplaneHash {
+				return fmt.Errorf("converged dataplane %.12s… does not match snapshot %.12s… — state drifted since capture, refusing to sweep against it", got, snap.DataplaneHash)
+			}
+		}
+		rep, err := mfv.RunSweep(res, topo, mfv.SweepOptions{
+			K: *k, Kinds: kinds, Workers: f.workers, Brute: *brute,
+			Replicas: *replicas, MemoryBudget: *memBudget,
+			JournalDir: journalDir, Resume: resuming, RetryBudget: *retry,
+			Ctx: f.ctx, Obs: f.observer(),
 		})
+		if err != nil {
+			return err
+		}
+		if f.jsonOut {
+			enc := json.NewEncoder(os.Stdout)
+			enc.SetIndent("", "  ")
+			if err := enc.Encode(rep); err != nil {
+				return err
+			}
+		} else {
+			fmt.Print(rep.Render(*top))
+		}
+		if rep.Violations > 0 {
+			return violationf("%d of %d failure candidates lose flows", rep.Violations, rep.Candidates)
+		}
+		degraded := 0
+		for _, row := range rep.Rows {
+			if len(row.Stragglers) > 0 || len(row.Quarantined) > 0 || row.Residue > 0 || row.Poisoned != "" {
+				degraded++
+			}
+		}
+		if degraded > 0 {
+			return degradedf("%d candidates left stragglers, quarantined routers, restore residue, or were poisoned", degraded)
+		}
+		return nil
 	})
-}
-
-func sweepBody(f *runFlags, k int, kindCSV string, brute bool, top, replicas int, memBudget int64, journalDir string, resume bool, retryBudget int) error {
-	kinds, err := mfv.ParseSweepKinds(kindCSV)
-	if err != nil {
-		return err
-	}
-	// -from-snapshot supplies the topology (the snapshot embeds it) and,
-	// after the baseline converges, gates the sweep on dataplane-hash
-	// equality: journaled verdicts are only comparable when the healthy
-	// baseline is the one the snapshot captured.
-	var topo *mfv.Topology
-	var snap *mfv.StoredSnapshot
-	if f.fromSnap != "" {
-		if snap, err = f.loadSnapshot(f.fromSnap, f.topo); err != nil {
-			return err
-		}
-		if topo, err = snap.Topology(); err != nil {
-			return err
-		}
-	} else if topo, err = f.loadTopo(f.topo); err != nil {
-		return err
-	}
-	opts, err := f.options()
-	if err != nil {
-		return err
-	}
-	res, err := mfv.Run(mfv.Snapshot{Topology: topo}, opts)
-	if err != nil {
-		return err
-	}
-	if snap != nil {
-		if got := mfv.DataplaneHash(res.AFTs); got != snap.DataplaneHash {
-			return fmt.Errorf("converged dataplane %.12s… does not match snapshot %.12s… — state drifted since capture, refusing to sweep against it", got, snap.DataplaneHash)
-		}
-	}
-	rep, err := mfv.RunSweep(res, topo, mfv.SweepOptions{
-		K: k, Kinds: kinds, Workers: f.workers, Brute: brute,
-		Replicas: replicas, MemoryBudget: memBudget,
-		JournalDir: journalDir, Resume: resume, RetryBudget: retryBudget,
-		Ctx: f.ctx, Obs: f.observer(),
-	})
-	if err != nil {
-		return err
-	}
-	if f.jsonOut {
-		enc := json.NewEncoder(os.Stdout)
-		enc.SetIndent("", "  ")
-		if err := enc.Encode(rep); err != nil {
-			return err
-		}
-	} else {
-		fmt.Print(rep.Render(top))
-	}
-	if rep.Violations > 0 {
-		return violationf("%d of %d failure candidates lose flows", rep.Violations, rep.Candidates)
-	}
-	degraded := 0
-	for _, row := range rep.Rows {
-		if len(row.Stragglers) > 0 || len(row.Quarantined) > 0 || row.Residue > 0 || row.Poisoned != "" {
-			degraded++
-		}
-	}
-	if degraded > 0 {
-		return degradedf("%d candidates left stragglers, quarantined routers, restore residue, or were poisoned", degraded)
-	}
-	return nil
 }
 
 // cmdSnapshot persists and inspects converged-state artifacts. `save` runs
@@ -1077,28 +983,22 @@ func cmdSnapshot(args []string) error {
 	}
 	switch sub {
 	case "save":
-		topo, err := f.loadTopo(f.topo)
-		if err != nil {
-			return err
-		}
-		opts, err := f.options()
-		if err != nil {
-			return err
-		}
-		res, err := mfv.Run(mfv.Snapshot{Topology: topo}, opts)
-		if err != nil {
-			return err
-		}
-		snap, err := mfv.CaptureSnapshot(topo, res)
-		if err != nil {
-			return err
-		}
-		if err := mfv.SaveSnapshot(snap, *file); err != nil {
-			return err
-		}
-		fmt.Printf("wrote %s\n", *file)
-		fmt.Println(snap.Summary())
-		return nil
+		return f.bracket(func() error {
+			res, topo, err := f.result(f.topo, "")
+			if err != nil {
+				return err
+			}
+			snap, err := mfv.CaptureSnapshot(topo, res)
+			if err != nil {
+				return err
+			}
+			if err := mfv.SaveSnapshot(snap, *file); err != nil {
+				return err
+			}
+			fmt.Printf("wrote %s\n", *file)
+			fmt.Println(snap.Summary())
+			return nil
+		})
 	case "load":
 		snap, err := f.loadSnapshot(*file, f.topo)
 		if err != nil {
@@ -1123,11 +1023,7 @@ func cmdChaos(args []string) error {
 	f.fs.Parse(args)
 	if f.topo != "" {
 		f.chaos = *scenario
-		return f.withBudget(func() error {
-			return f.withProfiles(func() error {
-				return f.withServe(func() error { return runBody(f) })
-			})
-		})
+		return f.query(f.runReport)
 	}
 	for _, sc := range mfv.ChaosBuiltins() {
 		fmt.Printf("%-14s seed=%-4d faults=%d  %s\n", sc.Name, sc.Seed, len(sc.Faults), sc.Description)

@@ -44,7 +44,8 @@ func quiet(t *testing.T, fn func() error) error {
 // TestExitCodePrecedence asserts the documented exit-code ordering across
 // run, chaos, and sweep: 5 (timeout/interrupt) over everything, 4
 // (quarantine/degraded) over 3 (violation), 3 over 0, and usage errors
-// always 2.
+// always 2 — and that the query subcommands, which share the one bracket,
+// honour the budget too.
 func TestExitCodePrecedence(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full CLI pipelines")
@@ -64,7 +65,16 @@ func TestExitCodePrecedence(t *testing.T) {
 		// An exhausted budget outranks whatever the truncated run found.
 		{"timeout outranks violation", cmdSweep, []string{"-topo", topo, "-k", "1", "-timeout", "1ns"}, exitTimeout},
 		{"timeout outranks quarantine", cmdRun, []string{"-topo", topo, "-chaos", "corrupt-config", "-timeout", "1ns"}, exitTimeout},
+		// reach, loops, lint -live and snapshot save used to parse -timeout and
+		// ignore it (the context was never set outside run/diff/chaos/sweep).
+		{"reach clean", cmdReach, []string{"-topo", topo, "-src", "r1", "-dst", "2.2.2.4"}, exitOK},
+		{"reach honours timeout", cmdReach, []string{"-topo", topo, "-src", "r1", "-dst", "2.2.2.4", "-timeout", "1ns"}, exitTimeout},
+		{"loops honours timeout", cmdLoops, []string{"-topo", topo, "-timeout", "1ns"}, exitTimeout},
+		{"lint -live honours timeout", cmdLint, []string{"-topo", topo, "-live", "-timeout", "1ns"}, exitTimeout},
+		{"snapshot save honours timeout", cmdSnapshot, []string{"save", "-topo", topo, "-file", filepath.Join(t.TempDir(), "never.snap"), "-timeout", "1ns"}, exitTimeout},
 		{"bad flag value", cmdSweep, []string{"-topo", topo, "-workers", "0"}, exitUsage},
+		// whatif is gone; the error must name what does dispatch, show included.
+		{"unknown subcommand", func(a []string) error { return dispatch("whatif", a) }, nil, exitUsage},
 		{"snapshot without -file", cmdSnapshot, []string{"load"}, exitUsage},
 		{"missing topo", cmdRun, nil, exitError},
 	}
@@ -74,30 +84,36 @@ func TestExitCodePrecedence(t *testing.T) {
 			if got := exitCode(err); got != tc.want {
 				t.Fatalf("exit code %d, want %d (err: %v)", got, tc.want, err)
 			}
+			if tc.name == "unknown subcommand" && !strings.Contains(err.Error(), "|show|") {
+				t.Fatalf("error %q does not list the dispatchable subcommands", err)
+			}
 		})
 	}
 }
 
-// TestInterruptMapsToExitTimeout delivers a real SIGINT while a withBudget
-// body is in flight: the run context must cancel and the error must map to
+// TestInterruptMapsToExitTimeout delivers a real SIGINT while a body is in
+// flight — under withBudget alone, and under the full bracket every emulating
+// subcommand runs in: the run context must cancel and the error must map to
 // exit 5, the same class as an exhausted -timeout.
 func TestInterruptMapsToExitTimeout(t *testing.T) {
 	f := newFlags("test")
-	err := f.withBudget(func() error {
-		if err := syscall.Kill(os.Getpid(), syscall.SIGINT); err != nil {
-			return err
+	for name, wrap := range map[string]func(func() error) error{"withBudget": f.withBudget, "bracket": f.bracket} {
+		err := wrap(func() error {
+			if err := syscall.Kill(os.Getpid(), syscall.SIGINT); err != nil {
+				return err
+			}
+			<-f.ctx.Done()
+			return f.ctx.Err()
+		})
+		if err == nil {
+			t.Fatalf("%s: interrupted body returned nil", name)
 		}
-		<-f.ctx.Done()
-		return f.ctx.Err()
-	})
-	if err == nil {
-		t.Fatal("interrupted body returned nil")
-	}
-	if got := exitCode(err); got != exitTimeout {
-		t.Fatalf("exit code %d, want %d (err: %v)", got, exitTimeout, err)
-	}
-	if !strings.Contains(err.Error(), "interrupted") {
-		t.Fatalf("error %q does not say it was interrupted", err)
+		if got := exitCode(err); got != exitTimeout {
+			t.Fatalf("%s: exit code %d, want %d (err: %v)", name, got, exitTimeout, err)
+		}
+		if !strings.Contains(err.Error(), "interrupted") {
+			t.Fatalf("%s: error %q does not say it was interrupted", name, err)
+		}
 	}
 }
 
@@ -118,6 +134,9 @@ func TestSnapshotCLIRoundTrip(t *testing.T) {
 	}
 	if err := quiet(t, func() error { return cmdRun([]string{"-from-snapshot", file}) }); err != nil {
 		t.Fatalf("run -from-snapshot: %v", err)
+	}
+	if err := quiet(t, func() error { return cmdReach([]string{"-from-snapshot", file, "-src", "r1", "-dst", "2.2.2.4"}) }); err != nil {
+		t.Fatalf("reach -from-snapshot: %v", err)
 	}
 	// A live boot diffed against the restored snapshot must agree the
 	// forwarding state is identical (exit 0, no changed flows).

@@ -1,7 +1,8 @@
 // What-if exploration (the directions sketched in §6 of the paper):
 //
-//  1. single-link-cut tolerance — emulate one context per link cut and
-//     check the "network keeps delivering" invariant exhaustively;
+//  1. single-link-cut tolerance — sweep every k=1 link failure of the
+//     converged emulation and check the "network keeps delivering"
+//     invariant exhaustively;
 //
 //  2. ordering exploration — re-run the same snapshot under several event
 //     orderings and confirm the converged dataplanes agree;
@@ -28,21 +29,27 @@ func main() {
 
 func linkCuts() {
 	fmt.Println("=== single-link-cut exploration (Fig. 2 network) ===")
-	findings, err := mfv.ExploreSingleLinkFailures(mfv.Snapshot{Topology: mfv.Fig2()}, mfv.Options{})
+	topo := mfv.Fig2()
+	res, err := mfv.Run(mfv.Snapshot{Topology: topo}, mfv.Options{})
 	if err != nil {
 		log.Fatal(err)
 	}
-	for _, f := range findings {
-		verdict := "absorbed (outcomes unchanged)"
-		if f.LostFlows > 0 {
-			verdict = fmt.Sprintf("LOSES %d flows", f.LostFlows)
-		}
-		fmt.Printf("  cut %-18s -> %s\n", f.Cut, verdict)
+	rep, err := mfv.RunSweep(res, topo, mfv.SweepOptions{K: 1, Kinds: []mfv.SweepKind{mfv.SweepLink}})
+	if err != nil {
+		log.Fatal(err)
 	}
-	ok, violations := mfv.SurvivesAnySingleLinkCut(findings)
-	fmt.Printf("survives any single cut: %v", ok)
-	if !ok {
-		fmt.Printf("  (critical links: %v)", violations)
+	var critical []string
+	for _, row := range rep.Rows {
+		verdict := "absorbed (outcomes unchanged)"
+		if row.FlowsLost > 0 {
+			verdict = fmt.Sprintf("LOSES %d flows", row.FlowsLost)
+			critical = append(critical, row.Failure)
+		}
+		fmt.Printf("  cut %-23s -> %s\n", row.Failure, verdict)
+	}
+	fmt.Printf("survives any single cut: %v", rep.Violations == 0)
+	if rep.Violations > 0 {
+		fmt.Printf("  (critical links, worst first: %v)", critical)
 	}
 	fmt.Println()
 	fmt.Println()

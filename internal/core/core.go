@@ -20,7 +20,6 @@ import (
 	"fmt"
 	"net"
 	"net/netip"
-	"runtime"
 	"sort"
 	"sync"
 	"time"
@@ -32,6 +31,7 @@ import (
 	"mfv/internal/kne"
 	"mfv/internal/model"
 	"mfv/internal/obs"
+	"mfv/internal/par"
 	"mfv/internal/routegen"
 	"mfv/internal/sim"
 	"mfv/internal/topology"
@@ -240,58 +240,20 @@ func runEmulation(snap Snapshot, opts Options) (*Result, error) {
 	if opts.Chaos != nil {
 		spare = opts.Chaos.SpareNodes
 	}
-	sp := opts.Obs.StartPhase("parse")
-	em, err := kne.New(kne.Config{Topology: snap.Topology, Sim: sim.New(opts.Seed), Obs: opts.Obs, SpareNodes: spare, Ctx: opts.Ctx})
-	sp.End()
+	em, conv, err := bootEmulation(kne.Config{Topology: snap.Topology, Sim: sim.New(opts.Seed), Obs: opts.Obs, SpareNodes: spare, Ctx: opts.Ctx}, snap.Feeds, snap.DownLinks, opts)
 	if err != nil {
 		return nil, err
 	}
-	sp = opts.Obs.StartPhase("schedule")
-	for _, f := range snap.Feeds {
-		inj, err := em.AddInjector(f.Router, f.PeerAddr, f.PeerAS)
-		if err != nil {
-			return nil, err
-		}
-		for _, feed := range f.Feeds {
-			inj.Announce(feed.Prefixes, feed.Attrs)
-		}
-	}
-	if err := em.Start(); err != nil {
-		return nil, err
-	}
-	for _, ep := range snap.DownLinks {
-		if err := em.SetLinkDown(ep); err != nil {
-			return nil, err
-		}
-	}
-	sp.End()
-	// Boot and converge phases are recorded inside RunUntilConverged, where
-	// the startup/churn boundary is actually observed.
-	var convergedAt time.Duration
-	var stragglers []string
-	if opts.Degraded {
-		conv, cerr := em.RunUntilConvergedDegraded(opts.ConvergenceHold, opts.Timeout)
-		if cerr != nil {
-			return nil, cerr
-		}
-		convergedAt = conv.ConvergedAt
-		stragglers = conv.Stragglers
-	} else {
-		convergedAt, err = em.RunUntilConverged(opts.ConvergenceHold, opts.Timeout)
-		if err != nil {
-			return nil, err
-		}
-	}
 	var chaosRep *chaos.Report
 	if opts.Chaos != nil {
-		sp = opts.Obs.StartPhase("chaos")
+		sp := opts.Obs.StartPhase("chaos")
 		chaosRep, err = chaos.NewEngine(em, snap.Topology, opts.Obs).WithWorkers(opts.Workers).WithContext(opts.Ctx).Execute(opts.Chaos)
 		sp.End()
 		if err != nil {
 			return nil, err
 		}
 	}
-	sp = opts.Obs.StartPhase("extract")
+	sp := opts.Obs.StartPhase("extract")
 	var afts map[string]*aft.AFT
 	if opts.UseGNMI {
 		afts, err = extractViaGNMI(em, opts.Retry, opts.Obs)
@@ -320,10 +282,10 @@ func runEmulation(snap Snapshot, opts Options) (*Result, error) {
 		AFTs:               afts,
 		Network:            network,
 		StartupAt:          em.StartupDone(),
-		ConvergedAt:        convergedAt,
+		ConvergedAt:        conv.ConvergedAt,
 		Emulator:           em,
 		Chaos:              chaosRep,
-		DegradedRouters:    stragglers,
+		DegradedRouters:    conv.Stragglers,
 		QuarantinedRouters: em.QuarantinedRouters(),
 	}, nil
 }
@@ -394,50 +356,18 @@ func runEmulationSharded(snap Snapshot, opts Options) (*Result, error) {
 	)
 	runRegion := func(i int) error {
 		names := regions[i]
-		em, err := kne.New(kne.Config{
+		em, conv, err := bootEmulation(kne.Config{
 			Topology: snap.Topology.Subtopology(names),
 			// Seeds are derived, not shared: every region must draw its own
 			// deterministic stream regardless of scheduling order.
 			Sim: sim.New(opts.Seed + int64(i)),
 			Ctx: opts.Ctx,
-		})
+		}, feeds[i], downs[i], opts)
 		if err != nil {
-			return err
+			return fmt.Errorf("core: region %s: %w", names[0], err)
 		}
 		defer em.Stop()
-		for _, f := range feeds[i] {
-			inj, err := em.AddInjector(f.Router, f.PeerAddr, f.PeerAS)
-			if err != nil {
-				return err
-			}
-			for _, feed := range f.Feeds {
-				inj.Announce(feed.Prefixes, feed.Attrs)
-			}
-		}
-		if err := em.Start(); err != nil {
-			return err
-		}
-		for _, ep := range downs[i] {
-			if err := em.SetLinkDown(ep); err != nil {
-				return err
-			}
-		}
-		out := &outs[i]
-		if opts.Degraded {
-			conv, err := em.RunUntilConvergedDegraded(opts.ConvergenceHold, opts.Timeout)
-			if err != nil {
-				return err
-			}
-			out.converged = conv.ConvergedAt
-			out.stragglers = conv.Stragglers
-		} else {
-			out.converged, err = em.RunUntilConverged(opts.ConvergenceHold, opts.Timeout)
-			if err != nil {
-				return fmt.Errorf("core: region %s: %w", names[0], err)
-			}
-		}
-		out.startup = em.StartupDone()
-		out.quarantined = em.QuarantinedRouters()
+		outs[i] = regionOut{em.StartupDone(), conv.ConvergedAt, conv.Stragglers, em.QuarantinedRouters()}
 		regionAFTs := make(map[string]*aft.AFT, len(names))
 		em.StreamAFTs(func(name string, a *aft.AFT) { regionAFTs[name] = a })
 		// Fold this region into the accumulating snapshot. UpdateFrom reuses
@@ -457,19 +387,15 @@ func runEmulationSharded(snap Snapshot, opts Options) (*Result, error) {
 	}
 
 	wallStart := time.Now()
-	if err := bootPool(len(regions), runRegion); err != nil {
+	if err := par.Do(len(regions), 0, runRegion); err != nil {
 		return nil, err
 	}
 
 	var startupAt, convergedAt time.Duration
 	var stragglers, quarantined []string
 	for _, o := range outs {
-		if o.startup > startupAt {
-			startupAt = o.startup
-		}
-		if o.converged > convergedAt {
-			convergedAt = o.converged
-		}
+		startupAt = max(startupAt, o.startup)
+		convergedAt = max(convergedAt, o.converged)
 		stragglers = append(stragglers, o.stragglers...)
 		quarantined = append(quarantined, o.quarantined...)
 	}
@@ -495,94 +421,56 @@ func runEmulationSharded(snap Snapshot, opts Options) (*Result, error) {
 	}, nil
 }
 
-// bootPool runs worker(i) for i in [0, n) across a GOMAXPROCS-bounded pool,
-// stopping new work at the first error. It is the shared boot machinery of
-// the sharded-region path and the sweep replica pool: emulator construction
-// and convergence dominate both, and each index owns disjoint state.
-func bootPool(n int, worker func(i int) error) error {
-	idx := make(chan int, n)
-	for i := 0; i < n; i++ {
-		idx <- i
+// bootEmulation is the one boot path: build the emulator, attach and replay
+// the injected feeds, start it, fail the what-if links, and wait for
+// convergence (degraded or strict per opts). The "parse" and "schedule"
+// phases land on cfg.Obs; boot and converge are recorded inside the wait,
+// where the startup/churn boundary is actually observed. On error the
+// emulator is stopped and not returned.
+func bootEmulation(cfg kne.Config, feeds []InjectedFeed, downs []topology.Endpoint, opts Options) (em *kne.Emulator, conv kne.Convergence, err error) {
+	sp := cfg.Obs.StartPhase("parse")
+	em, err = kne.New(cfg)
+	sp.End()
+	if err != nil {
+		return nil, conv, err
 	}
-	close(idx)
-	w := runtime.GOMAXPROCS(0)
-	if w > n {
-		w = n
-	}
-	var (
-		errMu  sync.Mutex
-		runErr error
-	)
-	fail := func(err error) {
-		errMu.Lock()
-		if runErr == nil {
-			runErr = err
+	defer func() {
+		if err != nil {
+			em.Stop()
+			em = nil
 		}
-		errMu.Unlock()
+	}()
+	sp = cfg.Obs.StartPhase("schedule")
+	for _, f := range feeds {
+		inj, err := em.AddInjector(f.Router, f.PeerAddr, f.PeerAS)
+		if err != nil {
+			return em, conv, err
+		}
+		for _, feed := range f.Feeds {
+			inj.Announce(feed.Prefixes, feed.Attrs)
+		}
 	}
-	failed := func() bool {
-		errMu.Lock()
-		defer errMu.Unlock()
-		return runErr != nil
+	if err := em.Start(); err != nil {
+		return em, conv, err
 	}
-	var wg sync.WaitGroup
-	wg.Add(w)
-	for g := 0; g < w; g++ {
-		go func() {
-			defer wg.Done()
-			for i := range idx {
-				if failed() {
-					continue
-				}
-				if err := worker(i); err != nil {
-					fail(err)
-				}
-			}
-		}()
+	for _, ep := range downs {
+		if err := em.SetLinkDown(ep); err != nil {
+			return em, conv, err
+		}
 	}
-	wg.Wait()
-	return runErr
+	sp.End()
+	if opts.Degraded {
+		conv, err = em.RunUntilConvergedDegraded(opts.ConvergenceHold, opts.Timeout)
+	} else {
+		conv.ConvergedAt, err = em.RunUntilConverged(opts.ConvergenceHold, opts.Timeout)
+	}
+	return em, conv, err
 }
 
-// BuildReplicas boots n deterministic replicas of a converged emulation in
-// parallel on the sharded-boot worker pool. Each replica replays the
-// primary's boot (kne.Emulator.Replica) and is gated on StateFingerprint
-// equality with wantFP — a replay that converges to different content fails
-// the whole build rather than silently skewing downstream verdicts. An empty
-// wantFP gates against the primary's current state; lane supervision passes
-// the fingerprint captured while the baseline was known healthy, so a
-// rebuild mid-sweep cannot inherit drift from a since-perturbed primary.
-// The sweep engine uses this as its replica pool factory.
+// BuildReplicas forwards to kne.BuildReplicas, the one replica factory. It
+// stays because the bench/e2e harness calls it by this name and signature.
 func BuildReplicas(primary *kne.Emulator, n int, wantFP string, hold, timeout time.Duration) ([]*kne.Emulator, error) {
-	if n <= 0 {
-		return nil, nil
-	}
-	want := wantFP
-	if want == "" {
-		want = primary.StateFingerprint()
-	}
-	reps := make([]*kne.Emulator, n)
-	err := bootPool(n, func(i int) error {
-		rep, err := primary.Replica(hold, timeout)
-		if err != nil {
-			return err
-		}
-		if got := rep.StateFingerprint(); got != want {
-			rep.Stop()
-			return fmt.Errorf("core: replica %d replay diverged from the primary (state fingerprint mismatch)", i)
-		}
-		reps[i] = rep
-		return nil
-	})
-	if err != nil {
-		for _, r := range reps {
-			if r != nil {
-				r.Stop()
-			}
-		}
-		return nil, err
-	}
-	return reps, nil
+	return kne.BuildReplicas(primary, n, wantFP, hold, timeout)
 }
 
 // routerTarget adapts a virtual router to the gNMI Target interface.

@@ -4,81 +4,16 @@ import (
 	"fmt"
 	"net/netip"
 	"sort"
-	"strings"
 	"time"
 
-	"mfv/internal/topology"
 	"mfv/internal/verify"
 )
 
-// This file implements the exhaustive context exploration the paper
-// discusses in §6: checking that the network maintains properties "in the
-// face of any single link cut" by running emulation once per context and
-// differencing the resulting dataplanes. (The paper notes k-link cuts grow
-// exponentially; the explorer takes an arbitrary context list so callers
-// choose the budget.)
-
-// FailureFinding is the result of one what-if context.
-type FailureFinding struct {
-	// Cut identifies the failed link by one endpoint.
-	Cut topology.Endpoint
-	// Diffs are the outcome changes relative to the baseline. Empty means
-	// the network absorbed the failure (paths may differ, outcomes do not).
-	Diffs []verify.Diff
-	// LostFlows counts diffs where a previously delivered flow no longer
-	// delivers — the paper's headline invariant.
-	LostFlows int
-}
-
-// ExploreSingleLinkFailures runs the emulation pipeline once per single-link
-// cut of the snapshot's topology and reports, per context, the differential
-// against the intact baseline. Contexts run sequentially on the virtual
-// clock; the paper runs them in parallel on real clusters, which changes
-// wall time but not results.
-func ExploreSingleLinkFailures(snap Snapshot, opts Options) ([]FailureFinding, error) {
-	if snap.Topology == nil {
-		return nil, fmt.Errorf("core: snapshot has no topology")
-	}
-	baseline, err := Run(snap, opts)
-	if err != nil {
-		return nil, fmt.Errorf("core: baseline: %w", err)
-	}
-	var out []FailureFinding
-	for _, l := range snap.Topology.Links {
-		cut := l.A
-		ctx := snap
-		ctx.DownLinks = append(append([]topology.Endpoint{}, snap.DownLinks...), cut)
-		res, err := Run(ctx, opts)
-		if err != nil {
-			return nil, fmt.Errorf("core: context %v: %w", cut, err)
-		}
-		diffs := Differential(baseline, res)
-		finding := FailureFinding{Cut: cut, Diffs: diffs}
-		for _, d := range diffs {
-			if deliveredIn(d.Before) && !deliveredIn(d.After) {
-				finding.LostFlows++
-			}
-		}
-		out = append(out, finding)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Cut.String() < out[j].Cut.String() })
-	return out, nil
-}
-
-func deliveredIn(outcome string) bool { return strings.Contains(outcome, "Delivered") }
-
-// SurvivesAnySingleLinkCut reports whether every single-link-cut context
-// keeps all previously delivered flows delivered, with the list of
-// violating cuts.
-func SurvivesAnySingleLinkCut(findings []FailureFinding) (bool, []topology.Endpoint) {
-	var violations []topology.Endpoint
-	for _, f := range findings {
-		if f.LostFlows > 0 {
-			violations = append(violations, f.Cut)
-		}
-	}
-	return len(violations) == 0, violations
-}
+// This file holds the ordering exploration and the named invariants. The
+// paper's other §6 direction — properties "in the face of any single link
+// cut" — is not a second engine here: it is the failure sweep at k=1 over
+// link elements (internal/sweep), which chains candidates on one converged
+// emulation instead of re-emulating per cut.
 
 // OrderingReport is the result of re-running a snapshot under different
 // event orderings.

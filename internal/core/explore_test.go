@@ -8,44 +8,6 @@ import (
 	"mfv/internal/topology"
 )
 
-func TestExploreSingleLinkFailuresOnRing(t *testing.T) {
-	// A ring survives every single cut: no finding may lose flows.
-	topo := isisFabric(topology.Ring(4, topology.VendorEOS))
-	findings, err := ExploreSingleLinkFailures(Snapshot{Topology: topo}, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(findings) != len(topo.Links) {
-		t.Fatalf("findings = %d, want one per link (%d)", len(findings), len(topo.Links))
-	}
-	ok, violations := SurvivesAnySingleLinkCut(findings)
-	if !ok {
-		t.Errorf("ring reported as not cut-tolerant: %v", violations)
-	}
-}
-
-func TestExploreSingleLinkFailuresOnLine(t *testing.T) {
-	// A line survives NO cut: every finding must lose flows.
-	topo := isisFabric(topology.Line(3, topology.VendorEOS))
-	findings, err := ExploreSingleLinkFailures(Snapshot{Topology: topo}, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ok, violations := SurvivesAnySingleLinkCut(findings)
-	if ok {
-		t.Fatal("line topology reported cut-tolerant")
-	}
-	if len(violations) != len(topo.Links) {
-		t.Errorf("violating cuts = %d, want %d (every line link is critical)",
-			len(violations), len(topo.Links))
-	}
-	for _, f := range findings {
-		if f.LostFlows == 0 {
-			t.Errorf("cut %v lost no flows on a line", f.Cut)
-		}
-	}
-}
-
 func TestExploreOrderingsAgreeOnDeterministicNetwork(t *testing.T) {
 	// The Fig. 2 network's decision process is fully determined by the
 	// config (no timing-dependent tie-breaks), so different event orderings
@@ -66,7 +28,7 @@ func TestExploreOrderingsValidation(t *testing.T) {
 	if _, err := ExploreOrderings(Snapshot{Topology: testnet.Fig3()}, Options{}, []int64{1}); err == nil {
 		t.Error("single seed accepted")
 	}
-	if _, err := ExploreSingleLinkFailures(Snapshot{}, Options{}); err == nil {
+	if _, err := ExploreOrderings(Snapshot{}, Options{}, []int64{1, 2}); err == nil {
 		t.Error("nil topology accepted")
 	}
 }

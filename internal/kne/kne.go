@@ -11,10 +11,8 @@ import (
 	"context"
 	"fmt"
 	"net/netip"
-	"runtime"
 	"sort"
 	"strings"
-	"sync"
 	"time"
 
 	"mfv/internal/aft"
@@ -25,6 +23,7 @@ import (
 	"mfv/internal/diag"
 	"mfv/internal/kube"
 	"mfv/internal/obs"
+	"mfv/internal/par"
 	"mfv/internal/sim"
 	"mfv/internal/topology"
 	"mfv/internal/vrouter"
@@ -858,9 +857,9 @@ func (e *Emulator) recordSimMetrics() {
 // TimelineEntry describes one router's convergence state: when its RIB last
 // changed (virtual time; zero if it never did) and how many routes it holds.
 type TimelineEntry struct {
-	Router     string
-	LastChange time.Duration
-	Routes     int
+	Router     string        `json:"router"`
+	LastChange time.Duration `json:"last_change_ns"`
+	Routes     int           `json:"routes"`
 }
 
 // ConvergenceTimeline returns one entry per router sorted by name. It is
@@ -949,30 +948,13 @@ func (e *Emulator) StreamAFTs(fn func(name string, a *aft.AFT)) {
 			dirty = append(dirty, r)
 		}
 	}
-	if w := runtime.GOMAXPROCS(0); len(dirty) > 1 && w > 1 {
-		if w > len(dirty) {
-			w = len(dirty)
-		}
-		// Each worker owns disjoint routers; rendering is a pure read of the
-		// quiescent RIB/MPLS state plus atomic metric updates, so the only
-		// shared writes are each router's own cache fields.
-		idx := make(chan int, len(dirty))
-		for i := range dirty {
-			idx <- i
-		}
-		close(idx)
-		var wg sync.WaitGroup
-		wg.Add(w)
-		for g := 0; g < w; g++ {
-			go func() {
-				defer wg.Done()
-				for i := range idx {
-					dirty[i].ExportAFT()
-				}
-			}()
-		}
-		wg.Wait()
-	}
+	// Each index owns one router; rendering is a pure read of the quiescent
+	// RIB/MPLS state plus atomic metric updates, so the only shared writes
+	// are each router's own cache fields. ExportAFT cannot fail.
+	_ = par.Do(len(dirty), 0, func(i int) error {
+		dirty[i].ExportAFT()
+		return nil
+	})
 	for _, r := range routers {
 		a := r.ExportAFT()
 		fn(r.Name, a)

@@ -8,6 +8,8 @@ import (
 	"strings"
 	"time"
 
+	"mfv/internal/aft"
+	"mfv/internal/par"
 	"mfv/internal/sim"
 	"mfv/internal/topology"
 )
@@ -85,6 +87,45 @@ func (e *Emulator) Replica(hold, timeout time.Duration) (*Emulator, error) {
 	return rep, nil
 }
 
+// BuildReplicas is the one replica factory: it boots n replicas of a converged
+// emulation in parallel, each a deterministic replay of the primary's boot
+// (Replica) gated on StateFingerprint equality with wantFP — a replay that
+// converges to different content fails the whole build rather than silently
+// skewing downstream verdicts. An empty wantFP gates against the primary's
+// current state; the sweep's lane supervision passes the fingerprint captured
+// while the baseline was known healthy, so a rebuild mid-sweep cannot inherit
+// drift from a since-perturbed primary.
+func BuildReplicas(primary *Emulator, n int, wantFP string, hold, timeout time.Duration) ([]*Emulator, error) {
+	if n <= 0 {
+		return nil, nil
+	}
+	if wantFP == "" {
+		wantFP = primary.StateFingerprint()
+	}
+	reps := make([]*Emulator, n)
+	err := par.Do(n, 0, func(i int) error {
+		rep, err := primary.Replica(hold, timeout)
+		if err != nil {
+			return err
+		}
+		if rep.StateFingerprint() != wantFP {
+			rep.Stop()
+			return fmt.Errorf("kne: replica %d replay diverged from the primary (state fingerprint mismatch)", i)
+		}
+		reps[i] = rep
+		return nil
+	})
+	if err != nil {
+		for _, r := range reps {
+			if r != nil {
+				r.Stop()
+			}
+		}
+		return nil, err
+	}
+	return reps, nil
+}
+
 // StateFingerprint digests the emulator's current dataplane content plus its
 // fault surface: every exported AFT fingerprint in name order, then the
 // downed links and downed/quarantined/BGP-held router sets. Two emulators
@@ -93,24 +134,11 @@ func (e *Emulator) Replica(hold, timeout time.Duration) (*Emulator, error) {
 // and falls back to the sequential path on any mismatch.
 func (e *Emulator) StateFingerprint() string {
 	h := sha256.New()
-	afts := e.AFTs()
-	names := make([]string, 0, len(afts))
-	for name := range afts {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	for _, name := range names {
-		fmt.Fprintf(h, "%s=%s;", name, afts[name].Fingerprint())
-	}
+	e.StreamAFTs(func(name string, a *aft.AFT) { fmt.Fprintf(h, "%s=%s;", name, a.Fingerprint()) })
 	fmt.Fprintf(h, "links=%s;", strings.Join(sortedKeys(e.linkDown), ","))
 	fmt.Fprintf(h, "down=%s;", strings.Join(sortedKeys(e.routerDown), ","))
 	fmt.Fprintf(h, "held=%s;", strings.Join(sortedKeys(e.bgpHeld), ","))
-	quar := make([]string, 0, len(e.quarantined))
-	for name := range e.quarantined {
-		quar = append(quar, name)
-	}
-	sort.Strings(quar)
-	fmt.Fprintf(h, "quarantined=%s;", strings.Join(quar, ","))
+	fmt.Fprintf(h, "quarantined=%s;", strings.Join(e.QuarantinedRouters(), ","))
 	return hex.EncodeToString(h.Sum(nil))
 }
 

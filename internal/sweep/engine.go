@@ -14,6 +14,7 @@ import (
 
 	"mfv/internal/kne"
 	"mfv/internal/obs"
+	"mfv/internal/par"
 	"mfv/internal/snapchain"
 	"mfv/internal/store"
 	"mfv/internal/topology"
@@ -88,23 +89,16 @@ func Enumerate(em *kne.Emulator, topo *topology.Topology, kinds []Kind) []Elemen
 		}
 		appendSorted(group)
 	}
-	if want[KindNode] {
-		var group []Element
-		for _, r := range em.Routers() {
-			if unusable(r.Name) {
-				continue
-			}
-			group = append(group, Element{Kind: KindNode, Node: r.Name})
+	for _, kind := range []Kind{KindNode, KindBGP} {
+		if !want[kind] {
+			continue
 		}
-		appendSorted(group)
-	}
-	if want[KindBGP] {
 		var group []Element
 		for _, r := range em.Routers() {
-			if r.BGP == nil || unusable(r.Name) {
+			if unusable(r.Name) || (kind == KindBGP && r.BGP == nil) {
 				continue
 			}
-			group = append(group, Element{Kind: KindBGP, Node: r.Name})
+			group = append(group, Element{Kind: kind, Node: r.Name})
 		}
 		appendSorted(group)
 	}
@@ -164,11 +158,11 @@ type replica struct {
 	// lane drifts, its fingerprints are tagged with the lane identity and
 	// never shared across lanes (see engine.fingerprint).
 	epoch int
-	// label is the precomputed metric label for this lane.
-	label string
-	// candidates counts evaluations on this lane (reported via the
-	// sweep_replica_candidates_total{replica=} counter).
-	candidates atomic.Int64
+	// label is the precomputed metric label for this lane, and evaluated the
+	// lane's sweep_replica_candidates_total{replica=label} series, resolved
+	// once when the lane is built (nil-safe when unobserved).
+	label     string
+	evaluated *obs.Counter
 	// owned marks emulators the engine booted (replicas, rebuilt lanes):
 	// the engine stops them on teardown. The caller-owned primary is never
 	// stopped.
@@ -360,15 +354,11 @@ func (e *engine) buildPool(nCands int) {
 	if want < 1 {
 		want = 1
 	}
-	e.pool = []*replica{{id: 0, em: e.em, chain: e.chain, label: "0"}}
+	e.pool = []*replica{e.newLane(e.em, e.chain, false)}
 	if want == 1 {
 		return
 	}
-	build := e.opts.BuildReplicas
-	if build == nil {
-		build = e.defaultBuildReplicas
-	}
-	ems, err := build(want - 1)
+	ems, err := e.buildReplicas(want - 1)
 	if err != nil || len(ems) == 0 {
 		e.obs.Metrics().Counter("sweep_replica_fallback_total").Inc()
 		return
@@ -383,48 +373,31 @@ func (e *engine) buildPool(nCands int) {
 			e.pool = e.pool[:1]
 			return
 		}
-		id := len(e.pool)
-		e.pool = append(e.pool, &replica{id: id, em: rem, chain: chain, label: fmt.Sprint(id), owned: true})
+		e.pool = append(e.pool, e.newLane(rem, chain, true))
 	}
 }
 
-// defaultBuildReplicas is the generic pool factory: deterministic replay via
-// kne.Emulator.Replica on a local worker pool, each replica gated on the
+// newLane wraps an emulator and its chain as the next lane of the pool.
+func (e *engine) newLane(em *kne.Emulator, chain *snapchain.Chain, owned bool) *replica {
+	label := fmt.Sprint(len(e.pool))
+	return &replica{
+		id: len(e.pool), em: em, chain: chain, owned: owned, label: label,
+		evaluated: e.obs.Metrics().Counter("sweep_replica_candidates_total", "replica", label),
+	}
+}
+
+// testHookBuildReplicas, when set (tests only), replaces the replica factory
+// so tests can inject a deterministic build failure.
+var testHookBuildReplicas func(n int) ([]*kne.Emulator, error)
+
+// buildReplicas boots n lanes through kne.BuildReplicas, gated on the
 // canonical converged baseline fingerprint (captured before any candidate
 // ran, so mid-sweep rebuilds cannot inherit primary drift).
-// core.BuildReplicas replaces it on the CLI path, where it shares the
-// sharded-boot machinery.
-func (e *engine) defaultBuildReplicas(n int) ([]*kne.Emulator, error) {
-	want := e.baseFP
-	if want == "" {
-		want = e.em.StateFingerprint()
+func (e *engine) buildReplicas(n int) ([]*kne.Emulator, error) {
+	if testHookBuildReplicas != nil {
+		return testHookBuildReplicas(n)
 	}
-	reps := make([]*kne.Emulator, n)
-	errs := make([]error, n)
-	runParallel(n, e.opts.Workers, func(i int) {
-		rep, err := e.em.Replica(e.hold, e.timeout)
-		if err != nil {
-			errs[i] = err
-			return
-		}
-		if got := rep.StateFingerprint(); got != want {
-			rep.Stop()
-			errs[i] = fmt.Errorf("sweep: replica %d replay diverged from the primary", i)
-			return
-		}
-		reps[i] = rep
-	})
-	for _, err := range errs {
-		if err != nil {
-			for _, r := range reps {
-				if r != nil {
-					r.Stop()
-				}
-			}
-			return nil, err
-		}
-	}
-	return reps, nil
+	return kne.BuildReplicas(e.em, n, e.baseFP, e.hold, e.timeout)
 }
 
 // stopPool releases every engine-owned lane emulator: the original replay
@@ -686,24 +659,16 @@ func (e *engine) healPool() {
 }
 
 // rebuildLane boots a replacement emulator for the lane via the replica
-// factory, gates it on the canonical baseline fingerprint, forks it a fresh
-// snapshot chain, and swaps it in (stopping the old emulator when the engine
-// owned it). The lane's epoch resets to zero: its baseline is canonical
-// again, so its fingerprints may be shared across lanes.
+// factory (which gates it on the canonical baseline fingerprint), forks it a
+// fresh snapshot chain, and swaps it in (stopping the old emulator when the
+// engine owned it). The lane's epoch resets to zero: its baseline is
+// canonical again, so its fingerprints may be shared across lanes.
 func (e *engine) rebuildLane(lane *replica) bool {
-	build := e.opts.BuildReplicas
-	if build == nil {
-		build = e.defaultBuildReplicas
-	}
-	ems, err := build(1)
+	ems, err := e.buildReplicas(1)
 	if err != nil || len(ems) != 1 || ems[0] == nil {
 		return false
 	}
 	rem := ems[0]
-	if rem.StateFingerprint() != e.baseFP {
-		rem.Stop()
-		return false
-	}
 	chain := e.chain.Fork(rem)
 	if _, err := chain.Snapshot(); err != nil {
 		rem.Stop()
@@ -802,8 +767,7 @@ func (e *engine) evaluate(r *replica, c Candidate) (*outcome, error) {
 	r.em.AlignClock(alignQuantum)
 	clk := r.em.Sim()
 	clk.Reseed(candSeed(c))
-	r.candidates.Add(1)
-	e.obs.Metrics().Counter("sweep_replica_candidates_total", "replica", r.label).Inc()
+	r.evaluated.Inc()
 
 	o := &outcome{cand: c, base: *r.chain.Last()}
 	injected := clk.Now()
@@ -971,13 +935,15 @@ func (e *engine) verifyChunk(pend []*outcome) {
 		reps = append(reps, o)
 	}
 	g := e.obs.Metrics().Gauge("sweep_inflight")
-	runParallel(len(reps), e.opts.Workers, func(i int) {
+	// A differential cannot fail, so par.Do has no error to report.
+	_ = par.Do(len(reps), e.opts.Workers, func(i int) error {
 		g.Add(1)
 		defer g.Add(-1)
 		o := reps[i]
 		// One worker per candidate; the per-query pool stays at 1 so the
 		// sharding happens across candidates, not within them.
 		o.verdict = verdictFromDiffs(verify.Queries{Workers: 1}.DeltaDifferential(o.base.Net, o.impact.Net, o.dirty))
+		return nil
 	})
 	for _, o := range pend {
 		if o != nil && o.dupOf != nil {
@@ -1131,39 +1097,6 @@ func (e *engine) journalChunk(idxBase int, pend []*outcome) error {
 		return nil
 	}
 	return e.journal.Sync()
-}
-
-// runParallel evaluates fn(i) for i in [0, n) across a bounded pool. Indexed
-// slots keep results deterministic.
-func runParallel(n, workers int, fn func(int)) {
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > n {
-		workers = n
-	}
-	if workers <= 1 {
-		for i := 0; i < n; i++ {
-			fn(i)
-		}
-		return
-	}
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= n {
-					return
-				}
-				fn(i)
-			}
-		}()
-	}
-	wg.Wait()
 }
 
 // assemble ranks the outcomes worst-first into the report and emits the

@@ -129,12 +129,11 @@ func TestSweepReplicaBuildFallback(t *testing.T) {
 	if _, err := em.RunUntilConverged(30*time.Second, time.Hour); err != nil {
 		t.Fatal(err)
 	}
-	rep, err := Run(em, topo, Options{
-		K: 1, Kinds: []Kind{KindBGP}, Workers: 4, Obs: o,
-		BuildReplicas: func(n int) ([]*kne.Emulator, error) {
-			return nil, fmt.Errorf("no replicas today")
-		},
-	})
+	testHookBuildReplicas = func(n int) ([]*kne.Emulator, error) {
+		return nil, fmt.Errorf("no replicas today")
+	}
+	rep, err := Run(em, topo, Options{K: 1, Kinds: []Kind{KindBGP}, Workers: 4, Obs: o})
+	testHookBuildReplicas = nil
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -34,7 +34,6 @@ import (
 	"strings"
 	"time"
 
-	"mfv/internal/kne"
 	"mfv/internal/obs"
 )
 
@@ -131,20 +130,14 @@ type Options struct {
 	// chains run concurrently, one lane per replica. 0 derives the pool
 	// from Workers; 1 forces the single-emulator sequential path. The pool
 	// is additionally capped by the candidate count and by MemoryBudget.
-	// The ranked table is byte-identical at any replica count.
+	// The ranked table is byte-identical at any replica count. Lanes are
+	// deterministic replays of the primary (kne.BuildReplicas); a failed
+	// build is non-fatal — the sweep degrades to the sequential path and
+	// counts sweep_replica_fallback_total.
 	Replicas int
 	// MemoryBudget bounds the replica pool's estimated footprint in bytes
 	// (default 8 GiB): at most MemoryBudget / (routers × 256 KiB) lanes.
 	MemoryBudget int64
-	// BuildReplicas, when non-nil, boots n started-and-converged
-	// deterministic replicas of the primary emulator (the CLI wires
-	// core.BuildReplicas here to reuse the sharded-boot pool). Nil uses the
-	// generic kne replay. Build failure is non-fatal: the sweep degrades to
-	// the sequential path and counts sweep_replica_fallback_total. Lane
-	// supervision also calls this factory to rebuild a panicked or drifted
-	// lane mid-sweep, so the factory must gate rebuilt lanes on the healthy
-	// baseline fingerprint, not the primary's current state.
-	BuildReplicas func(n int) ([]*kne.Emulator, error)
 	// JournalDir, when non-empty, write-ahead-journals every candidate
 	// verdict into <dir>/sweep.wal at chunk granularity (fsynced), so an
 	// interrupted sweep can be resumed. The journal is keyed by an input

@@ -122,29 +122,63 @@ func TestEnumerate(t *testing.T) {
 	}
 }
 
-// TestSweepPrunedMatchesBruteK1 is the core determinism acceptance check at
-// Fig. 2 scale: the pruned sweep's ranked table is byte-identical to the
-// brute-force sweep's, at any worker count.
+// TestSweepPrunedMatchesBruteK1 is the core determinism acceptance check:
+// the pruned sweep's ranked table is byte-identical to the brute-force
+// sweep's, at any worker count. The ring and line inputs pin the "any single
+// link cut" answer (-k 1 -kinds link, what the deleted cold what-if explorer
+// used to compute): a ring absorbs every cut, a line survives none.
 func TestSweepPrunedMatchesBruteK1(t *testing.T) {
-	ref := sweepFig2(t, Options{K: 1, Brute: true, Workers: 1})
-	refTable := ref.Table(0)
-	if ref.Verified != ref.Candidates {
-		t.Errorf("brute verified %d of %d candidates", ref.Verified, ref.Candidates)
+	const any = -1
+	cases := []struct {
+		name  string
+		mk    func() *topology.Topology
+		kinds []Kind
+		// wantViolations is the exact violation count as a share of the
+		// candidates: 0 = none, 1 = every candidate, any = unchecked.
+		wantViolations int
+	}{
+		{"fig2", testnet.Fig2, nil, any},
+		{"ring4-links", func() *topology.Topology { return testnet.ISISFabric(topology.Ring(4, topology.VendorEOS), 0) }, []Kind{KindLink}, 0},
+		{"line3-links", func() *topology.Topology { return testnet.ISISFabric(topology.Line(3, topology.VendorEOS), 0) }, []Kind{KindLink}, 1},
 	}
-	if ref.PrunedFingerprint != 0 || ref.PrunedIndependent != 0 {
-		t.Errorf("brute run pruned: %+v", ref)
-	}
-	for _, w := range []int{1, 2, 8} {
-		rep := sweepFig2(t, Options{K: 1, Workers: w})
-		if got := rep.Table(0); got != refTable {
-			t.Errorf("workers=%d: pruned table differs from brute:\n%s\n%s", w, refTable, got)
-		}
-		if rep.Candidates != ref.Candidates {
-			t.Errorf("workers=%d: %d candidates, brute saw %d", w, rep.Candidates, ref.Candidates)
-		}
-		if rep.Verified > ref.Verified {
-			t.Errorf("workers=%d: pruned verified %d > brute %d", w, rep.Verified, ref.Verified)
-		}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			sweepIt := func(opts Options) *Report {
+				opts.K, opts.Kinds = 1, tc.kinds
+				rep, err := Run(boot(t, tc.mk(), 42), tc.mk(), opts)
+				if err != nil {
+					t.Fatal(err)
+				}
+				return rep
+			}
+			ref := sweepIt(Options{Brute: true, Workers: 1})
+			refTable := ref.Table(0)
+			if ref.Verified != ref.Candidates {
+				t.Errorf("brute verified %d of %d candidates", ref.Verified, ref.Candidates)
+			}
+			if ref.PrunedFingerprint != 0 || ref.PrunedIndependent != 0 {
+				t.Errorf("brute run pruned: %+v", ref)
+			}
+			if tc.kinds != nil && ref.Candidates != len(tc.mk().Links) {
+				t.Errorf("%d candidates, want one per link (%d)", ref.Candidates, len(tc.mk().Links))
+			}
+			if tc.wantViolations != any && ref.Violations != tc.wantViolations*ref.Candidates {
+				t.Errorf("%d of %d link cuts lose flows, want %d:\n%s",
+					ref.Violations, ref.Candidates, tc.wantViolations*ref.Candidates, refTable)
+			}
+			for _, w := range []int{1, 2, 8} {
+				rep := sweepIt(Options{Workers: w})
+				if got := rep.Table(0); got != refTable {
+					t.Errorf("workers=%d: pruned table differs from brute:\n%s\n%s", w, refTable, got)
+				}
+				if rep.Candidates != ref.Candidates {
+					t.Errorf("workers=%d: %d candidates, brute saw %d", w, rep.Candidates, ref.Candidates)
+				}
+				if rep.Verified > ref.Verified {
+					t.Errorf("workers=%d: pruned verified %d > brute %d", w, rep.Verified, ref.Verified)
+				}
+			}
+		})
 	}
 }
 

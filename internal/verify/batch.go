@@ -2,13 +2,11 @@ package verify
 
 import (
 	"net/netip"
-	"runtime"
 	"sort"
 	"strings"
-	"sync"
-	"sync/atomic"
 	"time"
 
+	"mfv/internal/par"
 	"mfv/internal/topology"
 )
 
@@ -32,42 +30,35 @@ type Queries struct {
 	Workers int
 }
 
-func (q Queries) workers() int {
-	if q.Workers > 0 {
-		return q.Workers
-	}
-	return runtime.GOMAXPROCS(0)
+// perClass is the loop every exhaustive query shares: visit(i, n's outcomes
+// for dsts[i]) for each destination class across the pool, accounting flows
+// (source, class) flows per class on n's in-flight gauge and flow counter.
+// Each index owns its result slot, so scheduling order never affects output.
+func (q Queries) perClass(n *Network, dsts []netip.Addr, flows int, visit func(i int, oc dstOutcomes)) {
+	// Visits cannot fail, so par.Do has no error to report.
+	_ = par.Do(len(dsts), q.Workers, func(i int) error {
+		n.gInflight.Add(int64(flows))
+		defer n.gInflight.Add(-int64(flows))
+		visit(i, n.outcomesFor(dsts[i]))
+		n.cFlows.Add(uint64(flows))
+		return nil
+	})
 }
 
-// run evaluates fn(i) for i in [0, n) across the pool. Each index owns its
-// result slot, so scheduling order never affects output.
-func (q Queries) run(n int, fn func(int)) {
-	w := q.workers()
-	if w > n {
-		w = n
+// mergeDiffs flattens per-class results into (source, class) order — the
+// exact order the sequential implementation produced.
+func mergeDiffs(results [][]Diff) []Diff {
+	var out []Diff
+	for _, ds := range results {
+		out = append(out, ds...)
 	}
-	if w <= 1 {
-		for i := 0; i < n; i++ {
-			fn(i)
+	sort.SliceStable(out, func(i, j int) bool {
+		if out[i].Src != out[j].Src {
+			return out[i].Src < out[j].Src
 		}
-		return
-	}
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	wg.Add(w)
-	for g := 0; g < w; g++ {
-		go func() {
-			defer wg.Done()
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= n {
-					return
-				}
-				fn(i)
-			}
-		}()
-	}
-	wg.Wait()
+		return out[i].Dst.Less(out[j].Dst)
+	})
+	return out
 }
 
 // outcomeSet is the canonical forwarding outcome of one (device, class)
@@ -327,17 +318,14 @@ func (q Queries) Differential(before, after *Network) []Diff {
 	sources := unionStrings(before.Devices(), after.Devices())
 
 	results := make([][]Diff, len(classes))
-	q.run(len(classes), func(i int) {
+	q.perClass(before, classes, len(sources), func(i int, ob dstOutcomes) {
 		rep := classes[i]
-		before.gInflight.Add(int64(len(sources)))
-		defer before.gInflight.Add(-int64(len(sources)))
-		ob := before.outcomesFor(rep)
 		oa := after.outcomesFor(rep)
 		// Sources absent from both outcome maps share the NoRoute
 		// self-fallback on both sides and can never differ, so the scan
 		// covers only the solved devices — at 10k region-sharded routers
-		// that is the relevant region, not the whole fleet. The final sort
-		// below restores the sequential (source, class) output order.
+		// that is the relevant region, not the whole fleet. The merge
+		// restores the sequential (source, class) output order.
 		var ds []Diff
 		for src, o := range ob {
 			if b := oa.outcome(src); o.canon != b {
@@ -352,21 +340,9 @@ func (q Queries) Differential(before, after *Network) []Diff {
 				ds = append(ds, Diff{Src: src, Dst: rep, Before: a, After: o.canon})
 			}
 		}
-		before.cFlows.Add(uint64(len(sources)))
 		results[i] = ds
 	})
-
-	var out []Diff
-	for _, ds := range results {
-		out = append(out, ds...)
-	}
-	sort.SliceStable(out, func(i, j int) bool {
-		if out[i].Src != out[j].Src {
-			return out[i].Src < out[j].Src
-		}
-		return out[i].Dst.Less(out[j].Dst)
-	})
-	return out
+	return mergeDiffs(results)
 }
 
 // AllPairs computes the reachability matrix over the pool, sharded by
@@ -380,10 +356,7 @@ func (q Queries) AllPairs(n *Network) ReachMatrix {
 		Reach:   map[string]map[netip.Addr]bool{},
 	}
 	cols := make([][]bool, len(m.Dsts))
-	q.run(len(m.Dsts), func(i int) {
-		n.gInflight.Add(int64(len(m.Sources)))
-		defer n.gInflight.Add(-int64(len(m.Sources)))
-		oc := n.outcomesFor(m.Dsts[i])
+	q.perClass(n, m.Dsts, len(m.Sources), func(i int, oc dstOutcomes) {
 		col := make([]bool, len(m.Sources))
 		for j, src := range m.Sources {
 			if o, ok := oc[src]; ok {
@@ -391,7 +364,6 @@ func (q Queries) AllPairs(n *Network) ReachMatrix {
 			}
 		}
 		cols[i] = col
-		n.cFlows.Add(uint64(len(m.Sources)))
 	})
 	for j, src := range m.Sources {
 		row := make(map[netip.Addr]bool, len(m.Dsts))
@@ -413,12 +385,8 @@ func (q Queries) DetectLoops(n *Network) []LoopReport {
 	classes := n.EquivalenceClasses()
 	sources := n.Devices()
 	results := make([][]LoopReport, len(classes))
-	q.run(len(classes), func(i int) {
+	q.perClass(n, classes, len(sources), func(i int, oc dstOutcomes) {
 		rep := classes[i]
-		n.gInflight.Add(int64(len(sources)))
-		defer n.gInflight.Add(-int64(len(sources)))
-		oc := n.outcomesFor(rep)
-		n.cFlows.Add(uint64(len(sources)))
 		var reports []LoopReport
 		for _, src := range sources {
 			if o, ok := oc[src]; !ok || !o.has("Loop@") {
@@ -450,12 +418,8 @@ func (q Queries) DetectBlackHoles(n *Network) []BlackHole {
 	classes := n.EquivalenceClasses()
 	sources := n.Devices()
 	results := make([][]BlackHole, len(classes))
-	q.run(len(classes), func(i int) {
+	q.perClass(n, classes, len(sources), func(i int, oc dstOutcomes) {
 		rep := classes[i]
-		n.gInflight.Add(int64(len(sources)))
-		defer n.gInflight.Add(-int64(len(sources)))
-		oc := n.outcomesFor(rep)
-		n.cFlows.Add(uint64(len(sources)))
 		var holes []BlackHole
 		for _, src := range sources {
 			o, ok := oc[src]

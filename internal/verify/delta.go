@@ -6,6 +6,7 @@ import (
 	"strings"
 	"time"
 
+	"mfv/internal/par"
 	"mfv/internal/topology"
 )
 
@@ -64,21 +65,12 @@ func (q Queries) DeltaDifferential(before, after *Network, dirty []string) []Dif
 	sort.Strings(dirtySorted)
 
 	results := make([][]Diff, len(classes))
-	q.run(len(classes), func(i int) {
+	// deltaClass cannot fail, so par.Do has no error to report.
+	_ = par.Do(len(classes), q.Workers, func(i int) error {
 		results[i] = deltaClass(before, after, classes[i], dirtySorted, sources)
+		return nil
 	})
-
-	var out []Diff
-	for _, ds := range results {
-		out = append(out, ds...)
-	}
-	sort.SliceStable(out, func(i, j int) bool {
-		if out[i].Src != out[j].Src {
-			return out[i].Src < out[j].Src
-		}
-		return out[i].Dst.Less(out[j].Dst)
-	})
-	return out
+	return mergeDiffs(results)
 }
 
 // deltaClass evaluates one destination class: prune, taint, then compare

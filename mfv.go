@@ -25,7 +25,6 @@ package mfv
 import (
 	"fmt"
 	"net/netip"
-	"time"
 
 	"mfv/internal/aft"
 	"mfv/internal/chaos"
@@ -175,27 +174,14 @@ func NewFeedGenerator(seed int64) *FeedGenerator { return routegen.New(seed) }
 // LineTopology returns a bare n-node chain (configs must be filled in).
 func LineTopology(n int, vendor topology.Vendor) *Topology { return topology.Line(n, vendor) }
 
-// What-if exploration (§6 of the paper).
+// What-if exploration (§6 of the paper). "Any single link cut" is RunSweep
+// with K: 1 and Kinds: SweepLink.
 type (
-	// FailureFinding is the differential result of one link-cut context.
-	FailureFinding = core.FailureFinding
 	// OrderingReport compares dataplanes across event orderings.
 	OrderingReport = core.OrderingReport
 	// Invariant is a named predicate over a verification network.
 	Invariant = core.Invariant
 )
-
-// ExploreSingleLinkFailures emulates one context per single link cut and
-// differences each against the intact baseline.
-func ExploreSingleLinkFailures(snap Snapshot, opts Options) ([]FailureFinding, error) {
-	return core.ExploreSingleLinkFailures(snap, opts)
-}
-
-// SurvivesAnySingleLinkCut summarizes findings into a pass/fail with the
-// violating cuts.
-func SurvivesAnySingleLinkCut(f []FailureFinding) (bool, []Endpoint) {
-	return core.SurvivesAnySingleLinkCut(f)
-}
 
 // ExploreOrderings re-emulates a snapshot under several event orderings and
 // reports whether the converged dataplanes agree (the paper's
@@ -371,30 +357,12 @@ const (
 // completed emulation run, applies each candidate, scores its blast radius
 // against the healthy baseline with the delta differential, and rolls it
 // back — returning the ranked report. Requires an emulation-backend result
-// (Result.Emulator non-nil). Unless the caller supplies its own
-// BuildReplicas, the replica pool boots through core.BuildReplicas, which
-// shares the sharded-boot worker machinery and gates every lane on state-
-// fingerprint equality with the primary.
+// (Result.Emulator non-nil). With more than one lane the replica pool boots
+// deterministic replays of the emulation, each gated on state-fingerprint
+// equality with the converged baseline.
 func RunSweep(res *Result, topo *Topology, opts SweepOptions) (*SweepReport, error) {
 	if res.Emulator == nil {
 		return nil, fmt.Errorf("mfv: RunSweep needs an emulation result (BackendEmulation)")
-	}
-	if opts.BuildReplicas == nil {
-		em, hold, timeout := res.Emulator, opts.Hold, opts.Timeout
-		if hold == 0 {
-			hold = 2 * time.Minute
-		}
-		if timeout == 0 {
-			timeout = 30 * time.Minute
-		}
-		// Capture the healthy baseline fingerprint now: lane supervision may
-		// call this factory mid-sweep, while the primary is drifted or mid-
-		// candidate, and a rebuilt lane must match the sweep's baseline, not
-		// whatever the primary looks like at rebuild time.
-		want := em.StateFingerprint()
-		opts.BuildReplicas = func(n int) ([]*kne.Emulator, error) {
-			return core.BuildReplicas(em, n, want, hold, timeout)
-		}
 	}
 	return sweep.Run(res.Emulator, topo, opts)
 }

@@ -7,10 +7,13 @@
 package aft
 
 import (
+	"encoding/binary"
 	"encoding/json"
-	"fmt"
 	"net/netip"
+	"slices"
 	"sort"
+	"strconv"
+	"sync"
 
 	"mfv/internal/diag"
 	"mfv/internal/intern"
@@ -60,6 +63,12 @@ type LabelEntry struct {
 }
 
 // AFT is one device's abstract forwarding table.
+//
+// A table returned by Builder.Build or Unmarshal is sealed: immutable from
+// then on, which lets snapshots, lanes and the verifier share it and lets
+// Fingerprint cache its result on it. To change one, build the changed
+// table. A hand-assembled literal carries no seal, may be edited freely, and
+// is hashed on every Fingerprint call.
 type AFT struct {
 	// Device is the hostname the table was extracted from.
 	Device        string         `json:"device"`
@@ -67,14 +76,27 @@ type AFT struct {
 	LabelEntries  []LabelEntry   `json:"mpls,omitempty"`
 	NextHopGroups []NextHopGroup `json:"next-hop-groups"`
 	NextHops      []NextHop      `json:"next-hops"`
+
+	// seal is non-nil on sealed tables; a pointer, so copying an AFT value
+	// copies no lock.
+	seal *seal
+}
+
+// seal caches a sealed table's fingerprint: concurrent sweep lanes and the
+// parallel export pool hash one shared base table.
+type seal struct {
+	once sync.Once
+	fp   string
 }
 
 // Builder incrementally assembles an AFT, deduplicating next hops and
-// groups.
+// groups. Indices and group ids are handed out in first-seen order.
 type Builder struct {
 	aft      *AFT
-	nhIndex  map[string]uint64
-	nhgIndex map[string]uint64
+	nhIndex  map[string]uint64 // NextHop.AppendKey bytes
+	nhgIndex map[string]uint64 // sorted member indices, eight bytes each
+	key      []byte            // scratch: either key, or a prefix's text
+	members  []uint64
 }
 
 // NewBuilder starts an AFT for the named device.
@@ -86,14 +108,10 @@ func NewBuilder(device string) *Builder {
 	}
 }
 
-func nhKey(nh NextHop) string {
-	return fmt.Sprintf("%s|%s|%v|%v|%v", nh.IPAddress, nh.Interface, nh.PushedLabels, nh.Drop, nh.Receive)
-}
-
 // AddNextHop interns a next hop and returns its index.
 func (b *Builder) AddNextHop(nh NextHop) uint64 {
-	key := nhKey(nh)
-	if idx, ok := b.nhIndex[key]; ok {
+	b.key = nh.AppendKey(b.key[:0])
+	if idx, ok := b.nhIndex[string(b.key)]; ok {
 		return idx
 	}
 	// The same adjacent-hop address and interface name recur across every
@@ -102,28 +120,32 @@ func (b *Builder) AddNextHop(nh NextHop) uint64 {
 	nh.Interface = intern.String(nh.Interface)
 	nh.Index = uint64(len(b.aft.NextHops) + 1)
 	b.aft.NextHops = append(b.aft.NextHops, nh)
-	b.nhIndex[key] = nh.Index
+	b.nhIndex[string(b.key)] = nh.Index
 	return nh.Index
 }
 
 // AddGroup interns an ECMP group over next-hop indices and returns its id.
 func (b *Builder) AddGroup(nhIdx []uint64) uint64 {
-	sorted := append([]uint64{}, nhIdx...)
-	sort.Slice(sorted, func(i, j int) bool { return sorted[i] < sorted[j] })
-	key := fmt.Sprint(sorted)
-	if id, ok := b.nhgIndex[key]; ok {
+	b.members = append(b.members[:0], nhIdx...)
+	slices.Sort(b.members)
+	b.key = b.key[:0]
+	for _, idx := range b.members {
+		b.key = binary.BigEndian.AppendUint64(b.key, idx)
+	}
+	if id, ok := b.nhgIndex[string(b.key)]; ok {
 		return id
 	}
 	id := uint64(len(b.aft.NextHopGroups) + 1)
-	b.aft.NextHopGroups = append(b.aft.NextHopGroups, NextHopGroup{ID: id, NextHops: sorted})
-	b.nhgIndex[key] = id
+	b.aft.NextHopGroups = append(b.aft.NextHopGroups, NextHopGroup{ID: id, NextHops: slices.Clone(b.members)})
+	b.nhgIndex[string(b.key)] = id
 	return id
 }
 
 // AddIPv4 appends an IPv4 entry.
 func (b *Builder) AddIPv4(prefix netip.Prefix, nhg uint64, origin string, metric uint32) {
+	b.key = prefix.AppendTo(b.key[:0])
 	b.aft.IPv4Entries = append(b.aft.IPv4Entries, IPv4Entry{
-		Prefix:       intern.String(prefix.String()),
+		Prefix:       intern.Bytes(b.key),
 		NextHopGroup: nhg,
 		Origin:       intern.String(origin),
 		Metric:       metric,
@@ -135,10 +157,11 @@ func (b *Builder) AddLabel(label uint32, nhg uint64, pop bool) {
 	b.aft.LabelEntries = append(b.aft.LabelEntries, LabelEntry{Label: label, NextHopGroup: nhg, Pop: pop})
 }
 
-// Build finalizes the AFT with entries in canonical order. Slices are
-// copied down to exact capacity: built AFTs are retained for the life of a
-// verification run (10k of them at the scale tier), and append's growth
-// slack would otherwise pin up to 2x the needed memory.
+// Build finalizes the AFT with entries in canonical order and seals it (see
+// AFT): the Builder must not be used afterwards. Slices are copied down to
+// exact capacity: built AFTs are retained for the life of a verification run
+// (10k of them at the scale tier), and append's growth slack would otherwise
+// pin up to 2x the needed memory.
 func (b *Builder) Build() *AFT {
 	sort.Slice(b.aft.IPv4Entries, func(i, j int) bool {
 		return b.aft.IPv4Entries[i].Prefix < b.aft.IPv4Entries[j].Prefix
@@ -150,6 +173,7 @@ func (b *Builder) Build() *AFT {
 	b.aft.LabelEntries = trim(b.aft.LabelEntries)
 	b.aft.NextHopGroups = trim(b.aft.NextHopGroups)
 	b.aft.NextHops = trim(b.aft.NextHops)
+	b.aft.seal = &seal{}
 	return b.aft
 }
 
@@ -166,9 +190,10 @@ func trim[T any](s []T) []T {
 // Marshal encodes the AFT as JSON (the gNMI payload format).
 func (a *AFT) Marshal() ([]byte, error) { return json.Marshal(a) }
 
-// Unmarshal decodes an AFT from JSON. Failures — malformed JSON or an AFT
-// that fails Validate — come back as *diag.Error so ingestion layers can
-// attribute them to a device and contain the blast radius.
+// Unmarshal decodes an AFT from JSON and seals it (see AFT). Failures —
+// malformed JSON or an AFT that fails Validate — come back as *diag.Error so
+// ingestion layers can attribute them to a device and contain the blast
+// radius.
 func Unmarshal(data []byte) (*AFT, error) {
 	var a AFT
 	if err := json.Unmarshal(data, &a); err != nil {
@@ -188,6 +213,7 @@ func Unmarshal(data []byte) (*AFT, error) {
 		a.NextHops[i].IPAddress = intern.String(a.NextHops[i].IPAddress)
 		a.NextHops[i].Interface = intern.String(a.NextHops[i].Interface)
 	}
+	a.seal = &seal{}
 	return &a, nil
 }
 
@@ -253,82 +279,130 @@ func (a *AFT) Validate() error {
 	return nil
 }
 
-// Group returns the group by id.
-func (a *AFT) Group(id uint64) (NextHopGroup, bool) {
+// GroupHops resolves one group id to its next hops; nil when there is no
+// such group. Walking a table's entries, call ResolveGroups once instead.
+func (a *AFT) GroupHops(id uint64) []NextHop { return a.ResolveGroups()[id] }
+
+// ResolveGroups resolves every group of the table to its next hops in one
+// pass, so that a consumer walking the entries looks each entry's group up
+// instead of re-resolving it per entry. On tables Validate would reject, the
+// first group or next hop carrying an id wins and dangling member indices
+// are skipped.
+func (a *AFT) ResolveGroups() map[uint64][]NextHop {
+	byIndex := make(map[uint64]*NextHop, len(a.NextHops))
+	for i := range a.NextHops {
+		if _, dup := byIndex[a.NextHops[i].Index]; !dup {
+			byIndex[a.NextHops[i].Index] = &a.NextHops[i]
+		}
+	}
+	out := make(map[uint64][]NextHop, len(a.NextHopGroups))
 	for _, g := range a.NextHopGroups {
-		if g.ID == id {
-			return g, true
+		if _, dup := out[g.ID]; dup {
+			continue
 		}
-	}
-	return NextHopGroup{}, false
-}
-
-// NextHop returns the next hop by index.
-func (a *AFT) NextHop(idx uint64) (NextHop, bool) {
-	for _, nh := range a.NextHops {
-		if nh.Index == idx {
-			return nh, true
+		hops := make([]NextHop, 0, len(g.NextHops))
+		for _, idx := range g.NextHops {
+			if nh, ok := byIndex[idx]; ok {
+				hops = append(hops, *nh)
+			}
 		}
-	}
-	return NextHop{}, false
-}
-
-// GroupHops resolves a group id to its next hops.
-func (a *AFT) GroupHops(id uint64) []NextHop {
-	g, ok := a.Group(id)
-	if !ok {
-		return nil
-	}
-	out := make([]NextHop, 0, len(g.NextHops))
-	for _, idx := range g.NextHops {
-		if nh, ok := a.NextHop(idx); ok {
-			out = append(out, nh)
-		}
+		out[g.ID] = hops
 	}
 	return out
 }
 
-// Fingerprint returns a deterministic digest of forwarding-relevant state,
-// used by convergence detection: two AFTs with equal fingerprints forward
-// identically.
+// Fingerprint returns a deterministic digest of forwarding-relevant state:
+// FNV-1a 64 over each entry's prefix (or "L<label>") followed by its group's
+// resolved next hops. It is a grouping key and an on-disk identity (snapshot
+// dataplane hashes, the sweep journal's input hash, the replica gate), not a
+// proof of equality — Equal is. Sealed tables compute it once.
 func (a *AFT) Fingerprint() string {
-	var b []byte
-	for _, e := range a.IPv4Entries {
-		b = append(b, e.Prefix...)
-		for _, nh := range a.GroupHops(e.NextHopGroup) {
-			b = append(b, '|')
-			b = append(b, nhKey(nh)...)
-		}
-		b = append(b, '\n')
+	if a.seal == nil {
+		return a.fingerprint()
 	}
-	for _, e := range a.LabelEntries {
-		b = append(b, fmt.Sprintf("L%d", e.Label)...)
-		for _, nh := range a.GroupHops(e.NextHopGroup) {
-			b = append(b, '|')
-			b = append(b, nhKey(nh)...)
-		}
-		b = append(b, '\n')
-	}
-	return fmt.Sprintf("%x", fnv64(b))
+	a.seal.once.Do(func() { a.seal.fp = a.fingerprint() })
+	return a.seal.fp
 }
 
-func fnv64(b []byte) uint64 {
-	const (
-		offset = 14695981039346656037
-		prime  = 1099511628211
-	)
-	h := uint64(offset)
-	for _, c := range b {
-		h ^= uint64(c)
-		h *= prime
+func (a *AFT) fingerprint() string {
+	// Each group's share of the stream is rendered once, not once per entry
+	// pointing at it.
+	groups := a.ResolveGroups()
+	keys := make(map[uint64]string, len(groups))
+	var buf []byte
+	for id, hops := range groups {
+		buf = buf[:0]
+		for i := range hops {
+			buf = hops[i].AppendKey(append(buf, '|'))
+		}
+		keys[id] = string(buf)
+	}
+	h := uint64(14695981039346656037)
+	for _, e := range a.IPv4Entries {
+		h = fnv1a(fnv1a(fnv1a(h, e.Prefix), keys[e.NextHopGroup]), "\n")
+	}
+	for _, e := range a.LabelEntries {
+		buf = strconv.AppendUint(append(buf[:0], 'L'), uint64(e.Label), 10)
+		h = fnv1a(fnv1a(fnv1a(h, string(buf)), keys[e.NextHopGroup]), "\n")
+	}
+	return strconv.FormatUint(h, 16)
+}
+
+// fnv1a continues a 64-bit FNV-1a hash over s.
+func fnv1a(h uint64, s string) uint64 {
+	for i := 0; i < len(s); i++ {
+		h = (h ^ uint64(s[i])) * 1099511628211
 	}
 	return h
 }
 
-// Equal reports whether two AFTs forward identically.
+// AppendKey appends the hop's forwarding identity — every field but Index —
+// as the fingerprint stream spells it: "ip|interface|[l1 l2]|drop|receive".
+func (nh *NextHop) AppendKey(b []byte) []byte {
+	b = append(b, nh.IPAddress...)
+	b = append(b, '|')
+	b = append(b, nh.Interface...)
+	b = append(b, '|', '[')
+	for i, l := range nh.PushedLabels {
+		if i > 0 {
+			b = append(b, ' ')
+		}
+		b = strconv.AppendUint(b, uint64(l), 10)
+	}
+	b = append(b, ']', '|')
+	b = strconv.AppendBool(b, nh.Drop)
+	b = append(b, '|')
+	return strconv.AppendBool(b, nh.Receive)
+}
+
+// Equal reports whether two AFTs forward identically: the same prefixes and
+// labels in the same order, each pointing at the same resolved next hops.
+// The comparison is structural — it does not rest on Fingerprint's 64 bits —
+// and ignores what forwarding ignores (origin, metric, index numbering).
 func (a *AFT) Equal(o *AFT) bool {
-	if a == nil || o == nil {
+	if a == nil || o == nil || a == o {
 		return a == o
 	}
-	return a.Fingerprint() == o.Fingerprint()
+	if len(a.IPv4Entries) != len(o.IPv4Entries) || len(a.LabelEntries) != len(o.LabelEntries) {
+		return false
+	}
+	ga, gb := a.ResolveGroups(), o.ResolveGroups()
+	for i, e := range a.IPv4Entries {
+		f := o.IPv4Entries[i]
+		if e.Prefix != f.Prefix || !slices.EqualFunc(ga[e.NextHopGroup], gb[f.NextHopGroup], sameHop) {
+			return false
+		}
+	}
+	for i, e := range a.LabelEntries {
+		f := o.LabelEntries[i]
+		if e.Label != f.Label || e.Pop != f.Pop || !slices.EqualFunc(ga[e.NextHopGroup], gb[f.NextHopGroup], sameHop) {
+			return false
+		}
+	}
+	return true
+}
+
+func sameHop(x, y NextHop) bool {
+	return x.IPAddress == y.IPAddress && x.Interface == y.Interface && x.Drop == y.Drop &&
+		x.Receive == y.Receive && slices.Equal(x.PushedLabels, y.PushedLabels)
 }

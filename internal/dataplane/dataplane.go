@@ -5,8 +5,10 @@
 package dataplane
 
 import (
+	"encoding/binary"
 	"fmt"
 	"net/netip"
+	"slices"
 
 	"mfv/internal/aft"
 	"mfv/internal/mpls"
@@ -120,36 +122,78 @@ func (f *FIB) resolveHop(nh routing.NextHop, depth int) ([]ResolvedHop, error) {
 	return out, nil
 }
 
-func dedupHops(in []ResolvedHop) []ResolvedHop {
-	var out []ResolvedHop
-	seen := map[string]bool{}
-	for _, h := range in {
-		key := fmt.Sprintf("%v|%s|%v|%v|%v", h.IP, h.Interface, h.Labels, h.Drop, h.Receive)
-		if seen[key] {
-			continue
+// dedupHops drops repeated hops in place, keeping first occurrences. ECMP
+// sets are a handful of hops, so pairwise comparison beats building keys.
+func dedupHops(hops []ResolvedHop) []ResolvedHop {
+	out := hops[:0]
+	for _, h := range hops {
+		if !slices.ContainsFunc(out, h.equal) {
+			out = append(out, h)
 		}
-		seen[key] = true
-		out = append(out, h)
 	}
 	return out
+}
+
+func (h ResolvedHop) equal(o ResolvedHop) bool {
+	return h.IP == o.IP && h.Interface == o.Interface && h.Drop == o.Drop &&
+		h.Receive == o.Receive && slices.Equal(h.Labels, o.Labels)
+}
+
+// appendNextHopSet appends a key for everything Resolve reads of a route:
+// the drop and local-delivery flags and the next-hop set, strings and label
+// stacks length-prefixed so that distinct sets never share a key.
+func appendNextHopSet(key []byte, r *routing.Route) []byte {
+	var flags byte
+	if r.Drop {
+		flags |= 1
+	}
+	if r.Protocol == routing.ProtoLocal {
+		flags |= 2
+	}
+	key = append(key, flags)
+	for i := range r.NextHops {
+		nh := &r.NextHops[i]
+		ip := nh.IP.As16()
+		key = append(key, ip[:]...)
+		key = binary.AppendUvarint(append(key, byte(nh.IP.BitLen())), uint64(len(nh.Interface)))
+		key = append(key, nh.Interface...)
+		key = binary.AppendUvarint(key, uint64(len(nh.LabelStack)))
+		for _, l := range nh.LabelStack {
+			key = binary.BigEndian.AppendUint32(key, l)
+		}
+	}
+	return key
 }
 
 // ExportAFT renders the full RIB as an AFT, resolving every elected route.
 // Unresolvable routes are skipped (they are not programmed into hardware on
 // real devices either). crossConnects adds MPLS ILM entries.
+//
+// Thousands of prefixes share a handful of next-hop sets, and within one
+// export a set always resolves the same way: each distinct set is resolved
+// and added once, and a further route behind it costs a map probe.
 func (f *FIB) ExportAFT(device string, crossConnects []mpls.CrossConnect) *aft.AFT {
 	b := aft.NewBuilder(device)
-	for _, r := range f.rib.Routes() {
-		hops, err := f.Resolve(r)
-		if err != nil {
-			continue
+	groupOf := map[string]uint64{} // next-hop set -> group id, 0 = unresolvable
+	var key []byte
+	var idx []uint64
+	f.rib.Walk(func(r *routing.Route) {
+		key = appendNextHopSet(key[:0], r)
+		group, seen := groupOf[string(key)]
+		if !seen {
+			if hops, err := f.Resolve(*r); err == nil {
+				idx = idx[:0]
+				for _, h := range hops {
+					idx = append(idx, b.AddNextHop(aftHop(h)))
+				}
+				group = b.AddGroup(idx)
+			}
+			groupOf[string(key)] = group
 		}
-		var idx []uint64
-		for _, h := range hops {
-			idx = append(idx, b.AddNextHop(aftHop(h)))
+		if group != 0 {
+			b.AddIPv4(r.Prefix, group, r.Protocol.String(), r.Metric)
 		}
-		b.AddIPv4(r.Prefix, b.AddGroup(idx), r.Protocol.String(), r.Metric)
-	}
+	})
 	for _, xc := range crossConnects {
 		var hop ResolvedHop
 		if xc.NextHop.IsValid() {

@@ -224,26 +224,28 @@ func (r *RIB) Candidates(prefix netip.Prefix) []Route {
 	return out
 }
 
-// Routes returns every elected route sorted by prefix bit order.
+// Routes returns a copy of every elected route sorted by prefix bit order.
 func (r *RIB) Routes() []Route {
 	var out []Route
+	r.Walk(func(rt *Route) { out = append(out, *rt) })
+	return out
+}
+
+// Walk visits every elected route in place, in prefix bit order. The route
+// is the RIB's own storage: fn must neither modify nor retain it, and must
+// not install or withdraw routes.
+func (r *RIB) Walk(fn func(rt *Route)) {
 	r.trie.Walk(func(_ netip.Prefix, e *ribEntry) bool {
 		if e.best != nil {
-			out = append(out, *e.best)
+			fn(e.best)
 		}
 		return true
 	})
-	return out
 }
 
 // Len returns the number of prefixes with an elected route.
 func (r *RIB) Len() int {
 	n := 0
-	r.trie.Walk(func(_ netip.Prefix, e *ribEntry) bool {
-		if e.best != nil {
-			n++
-		}
-		return true
-	})
+	r.Walk(func(*Route) { n++ })
 	return n
 }

@@ -813,14 +813,15 @@ func (e *engine) evaluate(r *replica, c Candidate) (*outcome, error) {
 	if err != nil {
 		return nil, err
 	}
-	// Content check: any router whose restored AFT is not byte-identical
-	// to its baseline content invalidates fingerprint sharing across this
-	// boundary (see replica.epoch). Outcome check: flows still diverging are
-	// real residue, reported per row.
+	// Content check: any router whose restored AFT does not forward exactly
+	// as its baseline did (compared structurally, not by fingerprint)
+	// invalidates fingerprint sharing across this boundary (see
+	// replica.epoch). Outcome check: flows still diverging are real residue,
+	// reported per row.
 	drifted := false
 	for _, name := range snapchain.DiffStamps(o.base.Stamps, restored.Stamps) {
 		ba, ra := o.base.AFTs[name], restored.AFTs[name]
-		if ba == nil || ra == nil || ba.Fingerprint() != ra.Fingerprint() {
+		if ba == nil || ra == nil || !ba.Equal(ra) {
 			drifted = true
 			break
 		}

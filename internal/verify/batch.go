@@ -1,6 +1,7 @@
 package verify
 
 import (
+	"encoding/binary"
 	"net/netip"
 	"sort"
 	"strings"
@@ -96,38 +97,73 @@ func (m dstOutcomes) outcome(src string) string {
 // outcomes for one destination class. The cache lives on the Network, so
 // repeated queries against the same immutable snapshot — the chaos engine's
 // per-fault differentials, a Differential after a DetectLoops — pay once.
+//
+// Classes are solved once per distinct hop-group vector, not once each. A
+// walk toward dst reads nothing of a device but the hops of the entry
+// matching dst — in the solver, the coverage skip ("some member matches")
+// and the trace fallback alike; outcomes never name a matched prefix — so
+// classes that every device forwards through the same groups share one map.
+// A 20k-prefix feed from one router collapses to a handful of vectors.
 func (n *Network) outcomesFor(dst netip.Addr) dstOutcomes {
 	n.memoMu.Lock()
-	if m, ok := n.memo[dst]; ok {
-		n.memoMu.Unlock()
+	if n.memo == nil {
+		n.memo = map[netip.Addr]dstOutcomes{}
+		n.byVector = map[string]dstOutcomes{}
+	}
+	m, ok := n.memo[dst]
+	n.memoMu.Unlock()
+	if ok {
 		n.cMemoHits.Inc()
 		return m
 	}
-	n.memoMu.Unlock()
 
-	var m dstOutcomes
-	if comps := n.components(); len(comps) > 1 {
-		// Region-sharded topologies: solve component-by-component. Walks
-		// cannot cross components, so this is exact, and the maxPathHops
-		// solver cutoff applies to each piece instead of the whole network.
-		m = n.outcomesByComponent(dst, comps)
-	} else if len(n.devices) >= maxPathHops {
-		// Simple paths can reach the walk's depth cap: defer to the exact
-		// legacy enumeration per device so depth truncation semantics match.
-		m = n.outcomesByTrace(dst)
-	} else {
-		m = n.solveOutcomes(dst)
+	// Walks cannot cross components, so a region-sharded topology solves
+	// only the components whose FIBs can match dst at all: exact, and the
+	// per-class cost tracks the relevant region, not the fleet. The vector
+	// is, per solved component, each member's hop-group id for dst in name
+	// order, 0 where the device has no route.
+	var few [4]*component
+	var buf [256]byte
+	solve, vec, solved := few[:0], buf[:0], 0
+	comps, a := n.components(), addrU32(dst)
+	for _, c := range comps {
+		if len(comps) > 1 && !c.covers(a) {
+			continue
+		}
+		solve = append(solve, c)
+		solved += len(c.members)
+		vec = binary.BigEndian.AppendUint32(vec, c.id)
+		for _, d := range c.members {
+			var id uint32
+			if _, entry, ok := d.fib.Lookup(dst); ok {
+				id = entry.group.id
+			}
+			vec = binary.BigEndian.AppendUint32(vec, id)
+		}
+	}
+	n.memoMu.Lock()
+	m, ok = n.byVector[string(vec)]
+	if ok {
+		n.memo[dst] = m
+	}
+	n.memoMu.Unlock()
+	if ok {
+		n.cMemoHits.Inc()
+		return m
+	}
+
+	m = make(dstOutcomes, solved)
+	for _, c := range solve {
+		n.solveComponent(dst, c, m)
 	}
 
 	n.memoMu.Lock()
-	if prior, ok := n.memo[dst]; ok {
+	if prior, ok := n.byVector[string(vec)]; ok {
 		m = prior // a concurrent query computed it first; keep one copy
 	} else {
-		if n.memo == nil {
-			n.memo = map[netip.Addr]dstOutcomes{}
-		}
-		n.memo[dst] = m
+		n.byVector[string(vec)] = m
 	}
+	n.memo[dst] = m
 	n.memoMu.Unlock()
 	return m
 }
@@ -148,45 +184,24 @@ func (n *Network) traceOutcome(name string, dst netip.Addr) outcomeSet {
 	return outcomeSet{canon: strings.Join(frags, ","), frags: frags}
 }
 
-// outcomesByTrace is the fallback for very deep networks: one full
-// enumeration per device, no suffix sharing.
-func (n *Network) outcomesByTrace(dst netip.Addr) dstOutcomes {
-	out := make(dstOutcomes, len(n.devices))
-	for name := range n.devices {
-		out[name] = n.traceOutcome(name, dst)
-		n.cMemoMisses.Inc()
+// solveComponent adds the outcomes of one component's members toward dst to
+// out. A component whose simple paths can reach the walk's depth cap defers
+// to the exact path enumeration per device, so depth truncation matches.
+func (n *Network) solveComponent(dst netip.Addr, c *component, out dstOutcomes) {
+	if len(c.members) >= maxPathHops {
+		for _, d := range c.members {
+			out[d.name] = n.traceOutcome(d.name, dst)
+			n.cMemoMisses.Inc()
+		}
+		return
 	}
-	return out
-}
-
-// outcomesByComponent solves each connected component independently,
-// skipping components whose FIBs cannot match dst at all — their members'
-// outcomes are exactly the NoRoute self-fallback dstOutcomes.outcome
-// supplies, so leaving them out of the map keeps per-class memory
-// proportional to the relevant region, not the network.
-func (n *Network) outcomesByComponent(dst netip.Addr, comps []*component) dstOutcomes {
-	out := dstOutcomes{}
-	a := addrU32(dst)
-	for _, c := range comps {
-		if !c.covers(a) {
-			continue
-		}
-		if len(c.names) >= maxPathHops {
-			for _, name := range c.names {
-				out[name] = n.traceOutcome(name, dst)
-				n.cMemoMisses.Inc()
-			}
-			continue
-		}
-		s := &solver{n: n, dst: dst, frag: map[string][]string{}, stack: map[string]bool{}}
-		for _, name := range c.names {
-			f, _ := s.visit(n.devices[name])
-			out[name] = outcomeSet{canon: strings.Join(f, ","), frags: f}
-		}
-		n.cMemoHits.Add(s.hits)
-		n.cMemoMisses.Add(s.misses)
+	s := &solver{n: n, dst: dst, frag: map[string][]string{}, stack: map[string]bool{}}
+	for _, d := range c.members {
+		f, _ := s.visit(d)
+		out[d.name] = outcomeSet{canon: strings.Join(f, ","), frags: f}
 	}
-	return out
+	n.cMemoHits.Add(s.hits)
+	n.cMemoMisses.Add(s.misses)
 }
 
 // solver computes outcome fragments for every device toward one destination
@@ -224,7 +239,7 @@ func (s *solver) visit(d *device) ([]string, bool) {
 	s.stack[d.name] = true
 	clean := true
 	var acc []string
-	for _, h := range entry.hops {
+	for _, h := range entry.group.hops {
 		switch {
 		case h.Receive:
 			acc = append(acc, Delivered.String()+"@"+d.name)
@@ -252,23 +267,6 @@ func (s *solver) visit(d *device) ([]string, bool) {
 		s.frag[d.name] = acc
 	}
 	return acc, clean
-}
-
-// solveOutcomes runs the memoized solver from every device toward dst.
-func (n *Network) solveOutcomes(dst netip.Addr) dstOutcomes {
-	s := &solver{n: n, dst: dst, frag: map[string][]string{}, stack: map[string]bool{}}
-	roots := make(map[string][]string, len(n.devices))
-	for name, d := range n.devices {
-		f, _ := s.visit(d)
-		roots[name] = f
-	}
-	out := make(dstOutcomes, len(roots))
-	for name, frags := range roots {
-		out[name] = outcomeSet{canon: strings.Join(frags, ","), frags: frags}
-	}
-	n.cMemoHits.Add(s.hits)
-	n.cMemoMisses.Add(s.misses)
-	return out
 }
 
 func sortDedupe(in []string) []string {

@@ -119,14 +119,15 @@ func classEntryEqual(b, a *device, rep netip.Addr) bool {
 	if bok != aok {
 		return false
 	}
-	if !bok {
+	if !bok || be.group == ae.group {
 		return true
 	}
-	if len(be.hops) != len(ae.hops) {
+	bh, ah := be.group.hops, ae.group.hops
+	if len(bh) != len(ah) {
 		return false
 	}
-	for i := range be.hops {
-		x, y := be.hops[i], ae.hops[i]
+	for i := range bh {
+		x, y := bh[i], ah[i]
 		if x.Receive != y.Receive || x.Drop != y.Drop || x.Interface != y.Interface {
 			return false
 		}
@@ -146,7 +147,7 @@ func taintedSources(before, after *Network, rep netip.Addr, changed []string) ma
 			if !ok {
 				continue
 			}
-			for _, h := range entry.hops {
+			for _, h := range entry.group.hops {
 				if h.Receive || h.Drop {
 					continue
 				}
@@ -181,7 +182,7 @@ func taintedSources(before, after *Network, rep netip.Addr, changed []string) ma
 
 // partialOutcomes computes canonical outcomes for just the given sources,
 // sharing clean-subtree fragments within the call exactly like
-// solveOutcomes. Results deliberately stay out of the network's per-class
+// solveComponent. Results deliberately stay out of the network's per-class
 // memo: they cover a subset of devices, and a later full query must not
 // mistake them for complete class outcomes.
 func (n *Network) partialOutcomes(dst netip.Addr, srcs map[string]bool) map[string]string {

@@ -113,9 +113,9 @@ func (n *Network) routeDemand(src string, dst netip.Addr, rate float64, loads ma
 	visited[src] = true
 	defer delete(visited, src)
 
-	share := rate / float64(len(entry.hops))
+	share := rate / float64(len(entry.group.hops))
 	lost := 0.0
-	for _, h := range entry.hops {
+	for _, h := range entry.group.hops {
 		switch {
 		case h.Receive:
 			// Delivered here.

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 	"net/netip"
+	"reflect"
 	"testing"
 	"testing/quick"
 
@@ -11,36 +12,49 @@ import (
 	"mfv/internal/topology"
 )
 
-// buildRandom builds a random ring topology with random (possibly
-// nonsensical) AFTs — routes may point anywhere, including into loops and
-// unwired ports. The verifier must stay total and consistent over all of
-// them.
-func buildRandom(r *rand.Rand, nodes, prefixes int) (*topology.Topology, *Network, error) {
-	topo := topology.Ring(nodes, topology.VendorEOS)
+// randomAFTs gives every node of topo random (possibly nonsensical) AFTs —
+// routes may point anywhere, including into loops and unwired ports. cluster
+// pins the first address byte to four values so prefixes of different
+// devices (and regions) collide; ecmp makes one entry in four a two-way
+// group. The verifier must stay total and consistent over all of them.
+func randomAFTs(r *rand.Rand, topo *topology.Topology, prefixes int, cluster, ecmp bool) map[string]*aft.AFT {
 	afts := map[string]*aft.AFT{}
-	for i := 1; i <= nodes; i++ {
-		name := fmt.Sprintf("r%d", i)
-		b := aft.NewBuilder(name)
+	for _, node := range topo.Nodes {
+		b := aft.NewBuilder(node.Name)
+		hop := func() uint64 {
+			switch r.Intn(4) {
+			case 0:
+				return b.AddNextHop(aft.NextHop{Receive: true})
+			case 1:
+				return b.AddNextHop(aft.NextHop{Drop: true})
+			case 2:
+				return b.AddNextHop(aft.NextHop{Interface: "Ethernet1", IPAddress: "10.0.0.1"})
+			default:
+				return b.AddNextHop(aft.NextHop{Interface: "Ethernet2", IPAddress: "10.0.0.2"})
+			}
+		}
 		for p := 0; p < prefixes; p++ {
 			var a [4]byte
 			r.Read(a[:])
-			prefix := netip.PrefixFrom(netip.AddrFrom4(a), 1+r.Intn(32)).Masked()
-			var idx uint64
-			switch r.Intn(4) {
-			case 0:
-				idx = b.AddNextHop(aft.NextHop{Receive: true})
-			case 1:
-				idx = b.AddNextHop(aft.NextHop{Drop: true})
-			case 2:
-				idx = b.AddNextHop(aft.NextHop{Interface: "Ethernet1", IPAddress: "10.0.0.1"})
-			default:
-				idx = b.AddNextHop(aft.NextHop{Interface: "Ethernet2", IPAddress: "10.0.0.2"})
+			if cluster {
+				a[0] = byte(r.Intn(4) * 64)
 			}
-			b.AddIPv4(prefix, b.AddGroup([]uint64{idx}), "test", 0)
+			prefix := netip.PrefixFrom(netip.AddrFrom4(a), 1+r.Intn(32)).Masked()
+			idx := []uint64{hop()}
+			if ecmp && r.Intn(4) == 0 {
+				idx = append(idx, hop())
+			}
+			b.AddIPv4(prefix, b.AddGroup(idx), "test", 0)
 		}
-		afts[name] = b.Build()
+		afts[node.Name] = b.Build()
 	}
-	net, err := NewNetwork(topo, afts)
+	return afts
+}
+
+// buildRandom builds a random ring network (see randomAFTs).
+func buildRandom(r *rand.Rand, nodes, prefixes int) (*topology.Topology, *Network, error) {
+	topo := topology.Ring(nodes, topology.VendorEOS)
+	net, err := NewNetwork(topo, randomAFTs(r, topo, prefixes, false, false))
 	return topo, net, err
 }
 
@@ -174,6 +188,105 @@ func TestQuickMemoizationMatchesTrace(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 20, Rand: rand.New(rand.NewSource(53))}); err != nil {
 		t.Error(err)
+	}
+}
+
+// directOutcomes solves one class on its own, sharing nothing between
+// classes: what outcomesFor returned before classes with one hop-group
+// vector shared a solve.
+func directOutcomes(n *Network, dst netip.Addr) dstOutcomes {
+	out := dstOutcomes{}
+	comps := n.components()
+	for _, c := range comps {
+		if len(comps) == 1 || c.covers(addrU32(dst)) {
+			n.solveComponent(dst, c, out)
+		}
+	}
+	return out
+}
+
+// Property: sharing one solve among the classes of a hop-group vector is
+// exact. For every class of random networks — small rings (the memoized
+// solver, forwarding loops, ECMP), rings of 64 and more devices (the trace
+// path), several components (the coverage skip) and components of 64 and
+// more — outcomesFor equals a solve of that class alone, at workers 1, 2
+// and 8.
+func TestQuickVectorShareMatchesDirectSolve(t *testing.T) {
+	shapes := []struct {
+		name     string
+		topo     func(r *rand.Rand) *topology.Topology
+		prefixes int
+		seeds    int64
+	}{
+		{"ring", func(r *rand.Rand) *topology.Topology { return topology.Ring(3+r.Intn(4), topology.VendorEOS) }, 16, 12},
+		{"ring of 64+", func(r *rand.Rand) *topology.Topology { return topology.Ring(64+r.Intn(3), topology.VendorEOS) }, 2, 2},
+		{"regions", func(r *rand.Rand) *topology.Topology { return topology.MultiRegion(3, 4, topology.VendorEOS) }, 8, 8},
+		{"regions of 64", func(r *rand.Rand) *topology.Topology { return topology.MultiRegion(2, 64, topology.VendorEOS) }, 2, 1},
+	}
+	for _, sh := range shapes {
+		shared := 0
+		for seed := int64(0); seed < sh.seeds; seed++ {
+			r := rand.New(rand.NewSource(seed))
+			topo := sh.topo(r)
+			afts := randomAFTs(r, topo, sh.prefixes, true, true)
+			ref, err := NewNetwork(topo, afts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			classes := ref.EquivalenceClasses()
+			want := make([]dstOutcomes, len(classes))
+			for i, rep := range classes {
+				want[i] = directOutcomes(ref, rep)
+			}
+			for _, workers := range []int{1, 2, 8} {
+				n, err := NewNetwork(topo, afts)
+				if err != nil {
+					t.Fatal(err)
+				}
+				got := make([]dstOutcomes, len(classes))
+				Queries{Workers: workers}.perClass(n, classes, 0, func(i int, oc dstOutcomes) { got[i] = oc })
+				for i, rep := range classes {
+					if !reflect.DeepEqual(got[i], want[i]) {
+						t.Fatalf("%s seed %d workers %d class %v:\nshared %v\ndirect %v", sh.name, seed, workers, rep, got[i], want[i])
+					}
+				}
+				if len(n.memo) != len(classes) {
+					t.Fatalf("%s seed %d: memo holds %d classes of %d", sh.name, seed, len(n.memo), len(classes))
+				}
+				shared += len(n.memo) - len(n.byVector)
+			}
+		}
+		if shared == 0 {
+			t.Errorf("%s: no two classes shared a vector; the property was not exercised", sh.name)
+		}
+	}
+}
+
+// TestBuildDeviceLocksPerGroup: indexing a table takes the process-wide
+// hop-group lock once per group, not once per entry.
+func TestBuildDeviceLocksPerGroup(t *testing.T) {
+	b := aft.NewBuilder("r1")
+	groups := []uint64{
+		b.AddGroup([]uint64{b.AddNextHop(aft.NextHop{Receive: true})}),
+		b.AddGroup([]uint64{b.AddNextHop(aft.NextHop{Interface: "Ethernet1", IPAddress: "10.0.0.1"})}),
+		b.AddGroup([]uint64{1, 2}),
+	}
+	const entries = 600
+	for i := 0; i < entries; i++ {
+		b.AddIPv4(netip.PrefixFrom(netip.AddrFrom4([4]byte{20, byte(i >> 8), byte(i), 0}), 24), groups[i%len(groups)], "test", 0)
+	}
+	locks := 0
+	testHookHopGroupsLocked = func() { locks++ }
+	defer func() { testHookHopGroupsLocked = nil }()
+	d, err := buildDevice("r1", b.Build())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if d.fib.Len() != entries {
+		t.Fatalf("indexed %d entries, want %d", d.fib.Len(), entries)
+	}
+	if locks != len(groups) {
+		t.Errorf("hopGroups locked %d times for %d groups over %d entries", locks, len(groups), entries)
 	}
 }
 

@@ -18,10 +18,13 @@ import (
 
 // component is one connected piece of the device graph.
 type component struct {
-	// names are the member devices, sorted.
-	names []string
+	// id is the component's position in Network.components.
+	id uint32
+	// members are the component's devices, sorted by name.
+	members []*device
 	// covStart/covEnd are the merged [start, end) u64 address intervals
 	// (end may be 1<<32) covered by any member FIB prefix, sorted by start.
+	// A network of one component never asks, and leaves them empty.
 	covStart []uint64
 	covEnd   []uint64
 }
@@ -71,29 +74,31 @@ func (n *Network) computeComponents() []*component {
 		}
 		union(l.A.Node, l.Z.Node)
 	}
-	groups := map[string][]string{}
-	for name := range n.devices {
+	groups := map[string][]*device{}
+	for name, d := range n.devices {
 		r := find(name)
-		groups[r] = append(groups[r], name)
+		groups[r] = append(groups[r], d)
 	}
 	comps := make([]*component, 0, len(groups))
-	for _, names := range groups {
-		sort.Strings(names)
-		comps = append(comps, &component{names: names})
+	for _, members := range groups {
+		sort.Slice(members, func(i, j int) bool { return members[i].name < members[j].name })
+		comps = append(comps, &component{members: members})
 	}
-	sort.Slice(comps, func(i, j int) bool { return comps[i].names[0] < comps[j].names[0] })
-	for _, c := range comps {
-		c.buildCoverage(n)
+	sort.Slice(comps, func(i, j int) bool { return comps[i].members[0].name < comps[j].members[0].name })
+	for i, c := range comps {
+		c.id = uint32(i)
+		if len(comps) > 1 {
+			c.buildCoverage()
+		}
 	}
 	return comps
 }
 
 // buildCoverage merges every member prefix's [start, end) interval.
-func (c *component) buildCoverage(n *Network) {
+func (c *component) buildCoverage() {
 	type iv struct{ start, end uint64 }
 	var ivs []iv
-	for _, name := range c.names {
-		d := n.devices[name]
+	for _, d := range c.members {
 		for _, p := range d.fib.Prefixes() {
 			start := uint64(addrU32(p.Addr()))
 			ivs = append(ivs, iv{start, start + 1<<(32-p.Bits())})

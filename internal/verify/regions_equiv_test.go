@@ -2,47 +2,21 @@ package verify
 
 import (
 	"math/rand"
-	"net/netip"
 	"reflect"
 	"testing"
 
-	"mfv/internal/aft"
 	"mfv/internal/topology"
 )
 
 // buildRandomRegions mirrors buildRandom over a disconnected multi-region
-// topology, forcing the batch engine down the component-sharded path
-// (outcomesByComponent). Random receive/drop/forward entries produce loops,
-// black holes, partial coverage, and exits — the full disposition alphabet.
+// topology, forcing the batch engine down the component-sharded path. Random
+// receive/drop/forward entries produce loops, black holes, partial coverage,
+// and exits — the full disposition alphabet — and the clustered network
+// bytes make prefixes collide across regions, so destination classes are
+// covered by some components but not others (the covers() skip path).
 func buildRandomRegions(r *rand.Rand, regions, per, prefixes int) (*Network, error) {
 	topo := topology.MultiRegion(regions, per, topology.VendorEOS)
-	afts := map[string]*aft.AFT{}
-	for _, node := range topo.Nodes {
-		b := aft.NewBuilder(node.Name)
-		for p := 0; p < prefixes; p++ {
-			var a [4]byte
-			r.Read(a[:])
-			// Cluster network bytes so prefixes collide across regions and
-			// destination classes are covered by some components but not
-			// others (the covers() skip path).
-			a[0] = byte(r.Intn(4) * 64)
-			prefix := netip.PrefixFrom(netip.AddrFrom4(a), 1+r.Intn(32)).Masked()
-			var idx uint64
-			switch r.Intn(4) {
-			case 0:
-				idx = b.AddNextHop(aft.NextHop{Receive: true})
-			case 1:
-				idx = b.AddNextHop(aft.NextHop{Drop: true})
-			case 2:
-				idx = b.AddNextHop(aft.NextHop{Interface: "Ethernet1", IPAddress: "10.0.0.1"})
-			default:
-				idx = b.AddNextHop(aft.NextHop{Interface: "Ethernet2", IPAddress: "10.0.0.2"})
-			}
-			b.AddIPv4(prefix, b.AddGroup([]uint64{idx}), "test", 0)
-		}
-		afts[node.Name] = b.Build()
-	}
-	return NewNetwork(topo, afts)
+	return NewNetwork(topo, randomAFTs(r, topo, prefixes, true, false))
 }
 
 func TestRegionComponentsDetected(t *testing.T) {
@@ -56,8 +30,8 @@ func TestRegionComponentsDetected(t *testing.T) {
 		t.Fatalf("got %d components, want 4", len(comps))
 	}
 	for _, c := range comps {
-		if len(c.names) != 3 {
-			t.Errorf("component %v has %d members, want 3", c.names, len(c.names))
+		if len(c.members) != 3 {
+			t.Errorf("component of %s has %d members, want 3", c.members[0].name, len(c.members))
 		}
 	}
 }

@@ -11,6 +11,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"net/netip"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -169,9 +170,22 @@ type device struct {
 	owned []netip.Addr
 }
 
+// fibEntry is one indexed route. Thousands of entries point at a handful of
+// hop groups, and nothing downstream of a lookup reads more of the matched
+// entry than its group's hops (prefix only labels trace output) — which is
+// what lets batch.go solve once per distinct group vector.
 type fibEntry struct {
 	prefix string
-	hops   []aft.NextHop
+	group  *hopGroup
+}
+
+// hopGroup is a canonical resolved next-hop set: one value per distinct
+// content, process-wide, so pointer or id equality is content equality.
+type hopGroup struct {
+	// id is never 0, which a group vector uses for "no route" — as distinct
+	// from a group that resolved to no hops, which has an id like any other.
+	id   uint32
+	hops []aft.NextHop
 }
 
 // Network is an immutable verification snapshot: topology + AFTs indexed
@@ -201,13 +215,16 @@ type Network struct {
 	// Per-destination outcome solving runs component-by-component (see
 	// batch.go): forwarding walks can never cross a component boundary, so
 	// a region-sharded 10k-router network solves 500 20-device pieces
-	// instead of tripping the global outcomesByTrace fallback.
+	// instead of tripping the per-device trace fallback of deep networks.
 	compOnce sync.Once
 	comps    []*component
 
-	// memo caches per-class outcome maps (see batch.go).
-	memoMu sync.Mutex
-	memo   map[netip.Addr]dstOutcomes
+	// memo caches per-class outcome maps, byVector the same maps under the
+	// class's hop-group vector: classes that every device forwards through
+	// the same groups share one map (see batch.go).
+	memoMu   sync.Mutex
+	memo     map[netip.Addr]dstOutcomes
+	byVector map[string]dstOutcomes
 
 	// Observability handles (nil = no-op).
 	cTraces     *obs.Counter
@@ -296,56 +313,53 @@ func NewNetwork(topo *topology.Topology, afts map[string]*aft.AFT) (*Network, er
 	return n, nil
 }
 
-// hopGroups interns resolved next-hop slices: across 10k devices the same
+// hopGroups interns resolved next-hop sets: across 10k devices the same
 // ECMP group contents (same neighbor address, same egress interface shape)
-// recur constantly, and fibEntry.hops is the verification engine's largest
+// recur constantly, and the hops are the verification engine's largest
 // per-device allocation. The forwarding walks only read IPAddress, Interface,
 // PushedLabels, Drop, and Receive, so the canonical slice's Index fields are
 // irrelevant and groups are keyed on the semantic fields alone.
 var hopGroups struct {
 	sync.Mutex
-	m map[string][]aft.NextHop
+	m map[string]*hopGroup
 }
 
-func internHops(hops []aft.NextHop) []aft.NextHop {
-	if len(hops) == 0 {
-		return nil
+// testHookHopGroupsLocked, when set by a test, runs on every acquisition of
+// the hopGroups lock.
+var testHookHopGroupsLocked func()
+
+func internHops(hops []aft.NextHop) *hopGroup {
+	var key []byte
+	for i := range hops {
+		key = append(hops[i].AppendKey(key), '\n')
 	}
-	var b strings.Builder
-	for _, h := range hops {
-		b.WriteString(h.IPAddress)
-		b.WriteByte('|')
-		b.WriteString(h.Interface)
-		for _, l := range h.PushedLabels {
-			fmt.Fprintf(&b, "|%d", l)
-		}
-		if h.Drop {
-			b.WriteString("|D")
-		}
-		if h.Receive {
-			b.WriteString("|R")
-		}
-		b.WriteByte('\n')
-	}
-	key := b.String()
 	hopGroups.Lock()
 	defer hopGroups.Unlock()
-	if c, ok := hopGroups.m[key]; ok {
-		return c
+	if testHookHopGroupsLocked != nil {
+		testHookHopGroupsLocked()
+	}
+	if g, ok := hopGroups.m[string(key)]; ok {
+		return g
 	}
 	if hopGroups.m == nil {
-		hopGroups.m = map[string][]aft.NextHop{}
+		hopGroups.m = map[string]*hopGroup{}
 	}
-	c := append([]aft.NextHop(nil), hops...)
-	hopGroups.m[key] = c
-	return c
+	g := &hopGroup{id: uint32(len(hopGroups.m)) + 1, hops: append([]aft.NextHop(nil), hops...)}
+	hopGroups.m[string(key)] = g
+	return g
 }
 
 // buildDevice validates and indexes one AFT, caching the device's
 // equivalence-class interval cuts and owned addresses alongside the trie.
+// Each group is resolved and interned once; the entries only point at it.
 func buildDevice(name string, a *aft.AFT) (*device, error) {
 	if err := a.Validate(); err != nil {
 		return nil, fmt.Errorf("verify: %w", err)
+	}
+	resolved := a.ResolveGroups()
+	groups := make(map[uint64]*hopGroup, len(resolved))
+	for id, hops := range resolved {
+		groups[id] = internHops(hops)
 	}
 	d := &device{name: name, fib: routing.NewTrie[*fibEntry]()}
 	// Bulk-allocate the entries: one backing array instead of a heap object
@@ -359,8 +373,11 @@ func buildDevice(name string, a *aft.AFT) (*device, error) {
 		if err != nil {
 			return nil, fmt.Errorf("verify: device %s: bad prefix %q", name, e.Prefix)
 		}
-		hops := internHops(a.GroupHops(e.NextHopGroup))
-		entries = append(entries, fibEntry{prefix: intern.String(e.Prefix), hops: hops})
+		group, ok := groups[e.NextHopGroup]
+		if !ok {
+			return nil, fmt.Errorf("verify: device %s: entry %s references missing group %d", name, e.Prefix, e.NextHopGroup)
+		}
+		entries = append(entries, fibEntry{prefix: intern.String(e.Prefix), group: group})
 		d.fib.Insert(p, &entries[len(entries)-1])
 		start := addrU32(p.Addr())
 		d.bounds = append(d.bounds, start)
@@ -369,7 +386,7 @@ func buildDevice(name string, a *aft.AFT) (*device, error) {
 			d.bounds = append(d.bounds, uint32(end))
 		}
 		if p.Bits() == 32 {
-			for _, h := range hops {
+			for _, h := range group.hops {
 				if h.Receive {
 					d.owned = append(d.owned, p.Addr())
 					break
@@ -513,7 +530,7 @@ func (n *Network) walk(d *device, dst netip.Addr, hops []Hop, visited map[string
 		t.Paths = append(t.Paths, Path{Hops: hops, Disposition: NoRoute, Final: d.name})
 		return
 	}
-	for _, h := range entry.hops {
+	for _, h := range entry.group.hops {
 		if len(t.Paths) >= maxBranches {
 			t.Truncated = true
 			return
@@ -582,7 +599,7 @@ func (n *Network) computeClasses() []netip.Addr {
 	for _, d := range n.devices {
 		bounds = append(bounds, d.bounds...)
 	}
-	sort.Slice(bounds, func(i, j int) bool { return bounds[i] < bounds[j] })
+	slices.Sort(bounds)
 	out := make([]netip.Addr, 0, len(bounds))
 	var last uint32
 	for i, b := range bounds {

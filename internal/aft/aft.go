@@ -187,6 +187,10 @@ func trim[T any](s []T) []T {
 	return out
 }
 
+// Sealed reports whether the table came from Build or Unmarshal and so can
+// never change (see AFT).
+func (a *AFT) Sealed() bool { return a.seal != nil }
+
 // Marshal encodes the AFT as JSON (the gNMI payload format).
 func (a *AFT) Marshal() ([]byte, error) { return json.Marshal(a) }
 

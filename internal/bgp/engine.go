@@ -939,15 +939,3 @@ func (s *Speaker) ReevaluateNextHops() {
 		s.decide(prefix)
 	}
 }
-
-// FlushPending forces all peers' pending advertisements out immediately;
-// used by tests and by convergence detection at quiescence boundaries.
-func (s *Speaker) FlushPending() {
-	for _, p := range s.peerList {
-		if p.flush != nil {
-			s.clock.Cancel(p.flush)
-			p.flush = nil
-		}
-		p.flushNow()
-	}
-}

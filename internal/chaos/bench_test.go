@@ -10,7 +10,6 @@ import (
 	"mfv/internal/bgp"
 	"mfv/internal/kne"
 	"mfv/internal/sim"
-	"mfv/internal/snapchain"
 	"mfv/internal/testnet"
 	"mfv/internal/topology"
 	"mfv/internal/verify"
@@ -50,12 +49,12 @@ func renderAll(em *kne.Emulator) map[string]*aft.AFT {
 // route-feed fault: the external peer on the injection edge withdraws part
 // of its table, perturbing only the 4-router iBGP mesh while the 26 IGP
 // transits stay byte-identical. That small blast radius is exactly the case
-// the incremental pipeline optimizes (a network-wide IGP event falls back
-// to the full path via the engine's dirtiness threshold instead). The
-// "full" arm is the pre-incremental pipeline (serial re-render of every
-// router, scratch NewNetwork, full Differential); the "incremental" arm is
-// the cached extraction + UpdateFrom + DeltaDifferential path the engine
-// runs by default. Both arms must produce identical diffs.
+// the incremental pipeline optimizes. The "full" arm is the pre-incremental
+// pipeline (serial re-render of every router, scratch NewNetwork); the
+// "incremental" arm is the cached extraction + UpdateFrom path the engine
+// runs by default. Both arms score with Differential, which solves only the
+// classes and sources the changed routers can affect, and must produce
+// identical diffs.
 func BenchmarkChaosFaultLoop(b *testing.B) {
 	em, topo := bootWAN(b)
 	inj, err := em.AddInjector(topo.Nodes[0].Name, netip.MustParseAddr("198.51.100.1"), 64700)
@@ -68,18 +67,14 @@ func BenchmarkChaosFaultLoop(b *testing.B) {
 	}
 	inj.Announce(feed, bgp.PathAttrs{Origin: bgp.OriginIGP})
 	em.Settle(30*time.Second, time.Hour)
-	// Warm the per-router AFT caches, as the engine's pre-fault baseline
-	// snapshot would have: the timed incremental iterations then re-render
-	// only the routers the fault dirtied.
-	em.AFTs()
-
-	preAFTs := renderAll(em)
-	preStamps := em.FIBGenerations()
-	baseFull, err := verify.NewNetwork(topo, preAFTs)
+	// The incremental baseline indexes the per-router cached tables, as the
+	// engine's pre-fault snapshot does: the timed incremental iterations then
+	// re-render and re-index only the routers the fault dirtied.
+	baseFull, err := verify.NewNetwork(topo, renderAll(em))
 	if err != nil {
 		b.Fatal(err)
 	}
-	baseIncr, err := verify.NewNetwork(topo, preAFTs)
+	baseIncr, err := verify.NewNetwork(topo, em.AFTs())
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -99,13 +94,11 @@ func BenchmarkChaosFaultLoop(b *testing.B) {
 	})
 	b.Run("incremental", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			afts := em.AFTs()
-			dirty := snapchain.DiffStamps(preStamps, em.FIBGenerations())
-			net, err := baseIncr.UpdateFrom(afts, dirty)
+			net, err := baseIncr.UpdateFrom(em.AFTs())
 			if err != nil {
 				b.Fatal(err)
 			}
-			incrOut = fmt.Sprintf("%+v", verify.DeltaDifferential(baseIncr, net, dirty))
+			incrOut = fmt.Sprintf("%+v", verify.Differential(baseIncr, net))
 		}
 	})
 	if fullOut != incrOut {
@@ -119,13 +112,11 @@ func BenchmarkChaosFaultLoop(b *testing.B) {
 // nothing is dirty).
 func BenchmarkIncrementalSnapshot(b *testing.B) {
 	em, topo := bootWAN(b)
-	em.AFTs() // warm the per-router caches; steady state is what's measured
-	preAFTs := renderAll(em)
-	base, err := verify.NewNetwork(topo, preAFTs)
+	// Index the per-router cached tables; steady state is what's measured.
+	base, err := verify.NewNetwork(topo, em.AFTs())
 	if err != nil {
 		b.Fatal(err)
 	}
-	stamps := em.FIBGenerations()
 
 	b.Run("full-rebuild", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
@@ -136,9 +127,7 @@ func BenchmarkIncrementalSnapshot(b *testing.B) {
 	})
 	b.Run("incremental", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			afts := em.AFTs()
-			dirty := snapchain.DiffStamps(stamps, em.FIBGenerations())
-			if _, err := base.UpdateFrom(afts, dirty); err != nil {
+			if _, err := base.UpdateFrom(em.AFTs()); err != nil {
 				b.Fatal(err)
 			}
 		}

@@ -46,10 +46,9 @@ func (en *Engine) WithWorkers(w int) *Engine {
 	return en
 }
 
-// WithIncremental toggles the incremental snapshot + delta-differential
-// path (on by default). Disabling forces a full network rebuild and a full
-// differential per fault — the reference the equivalence tests and the
-// BenchmarkChaosFaultLoop comparison run against.
+// WithIncremental toggles incremental snapshots (on by default). Disabling
+// forces a scratch network rebuild per fault — the reference the
+// equivalence tests and the BenchmarkChaosFaultLoop comparison run against.
 func (en *Engine) WithIncremental(on bool) *Engine {
 	en.chain.SetIncremental(on)
 	return en

@@ -32,9 +32,9 @@ func reportJSON(t *testing.T, seed int64, spare int, sc *Scenario, incremental b
 	return string(data)
 }
 
-// TestIncrementalMatchesFullBuiltins: the incremental snapshot + delta
-// differential path must produce byte-identical reports to the full-rebuild
-// path on the builtin scenarios, including the pod-crash one that exercises
+// TestIncrementalMatchesFullBuiltins: the incremental snapshot path must
+// produce byte-identical reports to the full-rebuild path on the builtin
+// scenarios, including the pod-crash one that exercises
 // the router-incarnation (epoch) handling and the permanent partition.
 func TestIncrementalMatchesFullBuiltins(t *testing.T) {
 	for _, name := range []string{"crash-reboot", "partition", "session-reset"} {
@@ -50,8 +50,8 @@ func TestIncrementalMatchesFullBuiltins(t *testing.T) {
 	}
 }
 
-// TestIncrementalDeterministicAcrossWorkers: the delta path's report is
-// byte-identical for workers 1, 2, and 8, and matches the full recompute.
+// TestIncrementalDeterministicAcrossWorkers: the incremental path's report
+// is byte-identical for workers 1, 2, and 8, and matches the full recompute.
 func TestIncrementalDeterministicAcrossWorkers(t *testing.T) {
 	sc, _ := Builtin("flap")
 	ref := reportJSON(t, 7, 0, sc, false, 1)
@@ -64,9 +64,9 @@ func TestIncrementalDeterministicAcrossWorkers(t *testing.T) {
 
 // TestQuickIncrementalMatchesFullRandomFaults: seeded random fault
 // sequences drawn from a pool of valid Fig. 2 faults must score identically
-// under full and incremental verification. This is the fault-sequence half
-// of the delta-equivalence acceptance check (the random-network half lives
-// in internal/verify).
+// under full and incremental snapshots. This is the fault-sequence half of
+// the incremental-equivalence check (the random-network half, against a
+// brute-force oracle, lives in internal/verify).
 func TestQuickIncrementalMatchesFullRandomFaults(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-boot equivalence sweep")
@@ -96,13 +96,13 @@ func TestQuickIncrementalMatchesFullRandomFaults(t *testing.T) {
 }
 
 // TestIncrementalSimultaneousMultiFault: the sweep engine applies a k=2
-// candidate's faults back-to-back with no settle in between, so the delta
-// path must stay byte-identical to the full recompute when two faults land
-// simultaneously and their dirty sets overlap (the case the per-fault
-// equivalence tests above never produce). Each case boots a fresh Fig. 2,
-// injects both faults on the unsettled network, settles once, and compares
-// DeltaDifferential over the combined dirty set against a full rebuild +
-// full differential, across worker counts.
+// candidate's faults back-to-back with no settle in between, so the
+// incremental snapshot must stay byte-identical to a scratch rebuild when
+// two faults land simultaneously and their dirty sets overlap (the case the
+// per-fault equivalence tests above never produce). Each case boots a fresh
+// Fig. 2, injects both faults on the unsettled network, settles once, and
+// compares the differential against an UpdateFrom-built network with the
+// one against a NewNetwork-built one, across worker counts.
 func TestIncrementalSimultaneousMultiFault(t *testing.T) {
 	cut := func(link string) func(t *testing.T, em *kne.Emulator) {
 		return func(t *testing.T, em *kne.Emulator) {
@@ -163,7 +163,7 @@ func TestIncrementalSimultaneousMultiFault(t *testing.T) {
 			if len(dirty) < 2 {
 				t.Fatalf("%s: want overlapping multi-router dirty set, got %v", tc.name, dirty)
 			}
-			incrNet, err := baseNet.UpdateFrom(afts, dirty)
+			incrNet, err := baseNet.UpdateFrom(afts)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -181,11 +181,11 @@ func TestIncrementalSimultaneousMultiFault(t *testing.T) {
 				}
 				return string(b)
 			}
-			delta := render(verify.DeltaDifferential(baseNet, incrNet, dirty))
+			incr := render(verify.Differential(baseNet, incrNet))
 			full := render(verify.Differential(baseNet, fullNet))
-			if delta != full {
-				t.Errorf("%s workers=%d: delta differential diverges from full\ndirty=%v\ndelta:\n%s\nfull:\n%s",
-					tc.name, workers, dirty, delta, full)
+			if incr != full {
+				t.Errorf("%s workers=%d: differential against the incremental snapshot diverges from the scratch rebuild\ndirty=%v\nincremental:\n%s\nscratch:\n%s",
+					tc.name, workers, dirty, incr, full)
 			}
 		}
 	}

@@ -378,7 +378,7 @@ func runEmulationSharded(snap Snapshot, opts Options) (*Result, error) {
 		for name, a := range regionAFTs {
 			allAFTs[name] = a
 		}
-		next, err := network.UpdateFrom(allAFTs, names)
+		next, err := network.UpdateFrom(allAFTs)
 		if err != nil {
 			return err
 		}

@@ -160,13 +160,6 @@ func (e *Error) WithOffset(off int) *Error {
 	return &out
 }
 
-// WithDevice returns a copy attributed to a device.
-func (e *Error) WithDevice(d string) *Error {
-	out := *e
-	out.Device = d
-	return &out
-}
-
 // SeverityOf extracts the severity from an error chain; non-diag errors
 // default to SevError.
 func SeverityOf(err error) Severity {

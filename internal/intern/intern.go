@@ -90,14 +90,3 @@ func fnv32b(b []byte) uint32 {
 	}
 	return h
 }
-
-// Len reports the number of interned strings, for tests and memory telemetry.
-func Len() int {
-	n := 0
-	for i := range table {
-		table[i].mu.RLock()
-		n += len(table[i].m)
-		table[i].mu.RUnlock()
-	}
-	return n
-}

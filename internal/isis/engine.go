@@ -140,9 +140,6 @@ func New(cfg Config) *Engine {
 	}
 }
 
-// SystemID returns the engine's system ID.
-func (e *Engine) SystemID() SystemID { return e.cfg.SystemID }
-
 // SetObserver wires the engine into the observability layer: adjacency
 // transitions become trace events, SPF runs and LSP floods become counters,
 // and SPF compute time feeds a wall-clock histogram.

@@ -904,9 +904,9 @@ func (e *Emulator) stragglerSummary() string {
 // GenStamp identifies one router incarnation's forwarding state: Epoch
 // counts rebuilds of the named router (a crashed pod's replacement is a
 // fresh Router whose counters restart from zero) and Gen is that
-// incarnation's FIB generation. Two equal stamps imply an identical
-// exported AFT, which is what the chaos engine's delta verification keys
-// its dirty-device sets on.
+// incarnation's FIB generation. Two equal stamps imply the very same
+// exported (cached) AFT, which is what the sweep keys its dirty-router sets
+// and fingerprints on.
 type GenStamp struct {
 	Epoch uint64
 	Gen   uint64

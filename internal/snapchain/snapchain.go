@@ -1,12 +1,13 @@
 // Package snapchain chains incremental dataplane snapshots off a running
 // emulation. Each Snapshot call extracts the current AFTs and builds a
 // verification network, reusing the previous snapshot's per-device tries and
-// equivalence-class contributions for every router whose FIB generation
-// stamp did not move (verify.Network.UpdateFrom). The chain is the shared
-// substrate of the chaos engine's fault loop and the sweep engine's
-// candidate loop: both apply a perturbation, settle, snapshot, and score the
-// blast radius with a delta differential whose cost tracks the dirty set,
-// not the network size.
+// equivalence-class contributions for every router that handed back the
+// same cached table, that is, whose FIB generation did not move
+// (verify.Network.UpdateFrom). The chain is the shared substrate of the
+// chaos engine's fault loop and the sweep engine's candidate loop: both
+// apply a perturbation, settle, snapshot, and score the blast radius with
+// verify.Differential, which works out from the two snapshots which devices
+// changed and solves only the flows that can reach them.
 package snapchain
 
 import (
@@ -38,9 +39,8 @@ type Chain struct {
 	workers int
 
 	// incremental (default on) chains snapshots through
-	// verify.Network.UpdateFrom and scores differentials with the delta
-	// query, so per-perturbation cost tracks blast radius instead of
-	// network size. Results are byte-identical either way.
+	// verify.Network.UpdateFrom, so a snapshot re-indexes only the routers
+	// whose table changed. Results are byte-identical either way.
 	incremental bool
 	// last is the most recent snapshot, the base the next incremental
 	// snapshot updates from.
@@ -66,14 +66,10 @@ func (c *Chain) Fork(em *kne.Emulator) *Chain {
 	return &Chain{em: em, topo: c.topo, workers: c.workers, incremental: c.incremental}
 }
 
-// SetIncremental toggles the incremental snapshot + delta-differential path
-// (on by default). Disabling forces a full network rebuild and a full
-// differential per snapshot — the reference the equivalence tests run
-// against.
+// SetIncremental toggles incremental snapshots (on by default). Disabling
+// forces a scratch network rebuild per snapshot — the reference the
+// equivalence tests run against.
 func (c *Chain) SetIncremental(on bool) { c.incremental = on }
-
-// Incremental reports whether the delta path is active.
-func (c *Chain) Incremental() bool { return c.incremental }
 
 // Last returns the most recent snapshot (nil before the first Snapshot).
 func (c *Chain) Last() *Snap { return c.last }
@@ -85,10 +81,7 @@ func (c *Chain) Snapshot() (Snap, error) {
 	var n *verify.Network
 	var err error
 	if c.incremental && c.last != nil {
-		// Routers whose stamp moved since the previous snapshot are the
-		// only ones whose AFT can differ; every other device's trie and
-		// equivalence-interval cache carries over.
-		n, err = c.last.Net.UpdateFrom(afts, DiffStamps(c.last.Stamps, stamps))
+		n, err = c.last.Net.UpdateFrom(afts)
 	} else {
 		n, err = verify.NewNetwork(c.topo, afts)
 	}
@@ -106,17 +99,8 @@ func (c *Chain) Snapshot() (Snap, error) {
 	return s, nil
 }
 
-// Differential compares two snapshots, delta-driven when incremental mode is
-// on and the blast radius is small enough. Past half the network the
-// per-class prune bookkeeping stops paying for itself, so wide perturbations
-// fall back to the full recompute.
+// Differential compares two snapshots.
 func (c *Chain) Differential(before, after Snap) []verify.Diff {
-	if c.incremental {
-		dirty := DiffStamps(before.Stamps, after.Stamps)
-		if len(dirty)*2 <= len(before.Stamps) {
-			return verify.DeltaDifferential(before.Net, after.Net, dirty)
-		}
-	}
 	return verify.Differential(before.Net, after.Net)
 }
 

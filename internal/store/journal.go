@@ -79,9 +79,8 @@ type JournalEntry struct {
 // a crash loses at most the in-flight chunk, never a torn line that poisons
 // the resume parse (the parser drops a corrupt tail).
 type Journal struct {
-	f    *os.File
-	w    *bufio.Writer
-	path string
+	f *os.File
+	w *bufio.Writer
 }
 
 // CreateJournal starts a fresh journal at path (truncating any previous one)
@@ -94,7 +93,7 @@ func CreateJournal(path string, hdr JournalHeader) (*Journal, error) {
 	if err != nil {
 		return nil, fmt.Errorf("store: creating journal: %w", err)
 	}
-	j := &Journal{f: f, w: bufio.NewWriter(f), path: path}
+	j := &Journal{f: f, w: bufio.NewWriter(f)}
 	if err := j.appendJSON(hdr); err != nil {
 		f.Close()
 		return nil, err
@@ -149,7 +148,7 @@ func ResumeJournal(path string, hdr JournalHeader) (*Journal, []JournalEntry, er
 		f.Close()
 		return nil, nil, fmt.Errorf("store: seeking journal: %w", err)
 	}
-	return &Journal{f: f, w: bufio.NewWriter(f), path: path}, entries, nil
+	return &Journal{f: f, w: bufio.NewWriter(f)}, entries, nil
 }
 
 // Append buffers one verdict line. Call Sync to make a batch durable.
@@ -176,9 +175,6 @@ func (j *Journal) Close() error {
 	}
 	return j.f.Close()
 }
-
-// Path returns the journal file path.
-func (j *Journal) Path() string { return j.path }
 
 func (j *Journal) appendJSON(v any) error {
 	payload, err := json.Marshal(v)

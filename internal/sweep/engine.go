@@ -943,7 +943,7 @@ func (e *engine) verifyChunk(pend []*outcome) {
 		o := reps[i]
 		// One worker per candidate; the per-query pool stays at 1 so the
 		// sharding happens across candidates, not within them.
-		o.verdict = verdictFromDiffs(verify.Queries{Workers: 1}.DeltaDifferential(o.base.Net, o.impact.Net, o.dirty))
+		o.verdict = verdictFromDiffs(verify.Queries{Workers: 1}.Differential(o.base.Net, o.impact.Net))
 		return nil
 	})
 	for _, o := range pend {

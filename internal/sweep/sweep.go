@@ -3,7 +3,7 @@
 // or a router's BGP service break reachability? It enumerates every
 // k-failure combination, applies each candidate to the live emulation via
 // the kne fault hooks, re-settles on the virtual clock, scores the blast
-// radius with the delta differential against the healthy baseline, and rolls
+// radius with the differential against the healthy baseline, and rolls
 // the candidate back so the next one chains off a restored snapshot.
 //
 // The combinatorial space stays tractable through two prunes, Plankton-style

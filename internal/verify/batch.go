@@ -12,11 +12,13 @@ import (
 )
 
 // This file is the parallel batch-query engine. The exhaustive queries
-// (AllPairs, Differential, DetectLoops, DetectBlackHoles) all reduce to the
-// same shape — evaluate every (source, equivalence-class) flow over an
-// immutable Network — so they share one worker pool that shards flows by
-// destination class and one per-device memoization layer that computes
-// shared path suffixes once instead of once per source.
+// (AllPairs, DetectLoops, DetectBlackHoles) all reduce to the same shape —
+// evaluate every (source, equivalence-class) flow over an immutable Network
+// — so they share one worker pool that shards flows by destination class
+// and one per-device memoization layer that computes shared path suffixes
+// once instead of once per source. Differential (differential.go) shards
+// the same way and solves with the same solver, but only where the two
+// snapshots differ, so it leaves the per-class memo alone.
 //
 // Determinism contract: results are merged by stable flow key, so output is
 // byte-identical regardless of worker count. Outcome fragments are exact
@@ -84,19 +86,10 @@ func (o outcomeSet) has(prefix string) bool {
 // dstOutcomes maps every device to its outcome for one destination class.
 type dstOutcomes map[string]outcomeSet
 
-// outcome returns the canonical outcome for src, falling back to the
-// NoRoute self-outcome Trace produces for devices without forwarding state.
-func (m dstOutcomes) outcome(src string) string {
-	if o, ok := m[src]; ok && o.canon != "" {
-		return o.canon
-	}
-	return NoRoute.String() + "@" + src
-}
-
 // outcomesFor returns (computing and memoizing on first use) the per-device
 // outcomes for one destination class. The cache lives on the Network, so
-// repeated queries against the same immutable snapshot — the chaos engine's
-// per-fault differentials, a Differential after a DetectLoops — pay once.
+// repeated queries against the same immutable snapshot — a DetectLoops
+// after an AllPairs — pay once.
 //
 // Classes are solved once per distinct hop-group vector, not once each. A
 // walk toward dst reads nothing of a device but the hops of the entry
@@ -297,50 +290,6 @@ func unionAddrs(a, b []netip.Addr) []netip.Addr {
 		}
 	}
 	return dedup
-}
-
-func unionStrings(a, b []string) []string {
-	out := append(append([]string{}, a...), b...)
-	return sortDedupe(out)
-}
-
-// Differential runs the differential-reachability query over the pool:
-// flows are sharded by destination class, each class evaluates every source
-// against both snapshots' memoized outcomes, and the merged result is
-// sorted by (source, class) — the exact order the sequential implementation
-// produced.
-func (q Queries) Differential(before, after *Network) []Diff {
-	defer before.observeWall("differential", time.Now())
-	before.cQueries.Inc()
-	classes := unionAddrs(before.EquivalenceClasses(), after.EquivalenceClasses())
-	sources := unionStrings(before.Devices(), after.Devices())
-
-	results := make([][]Diff, len(classes))
-	q.perClass(before, classes, len(sources), func(i int, ob dstOutcomes) {
-		rep := classes[i]
-		oa := after.outcomesFor(rep)
-		// Sources absent from both outcome maps share the NoRoute
-		// self-fallback on both sides and can never differ, so the scan
-		// covers only the solved devices — at 10k region-sharded routers
-		// that is the relevant region, not the whole fleet. The merge
-		// restores the sequential (source, class) output order.
-		var ds []Diff
-		for src, o := range ob {
-			if b := oa.outcome(src); o.canon != b {
-				ds = append(ds, Diff{Src: src, Dst: rep, Before: o.canon, After: b})
-			}
-		}
-		for src, o := range oa {
-			if _, ok := ob[src]; ok {
-				continue
-			}
-			if a := ob.outcome(src); a != o.canon {
-				ds = append(ds, Diff{Src: src, Dst: rep, Before: a, After: o.canon})
-			}
-		}
-		results[i] = ds
-	})
-	return mergeDiffs(results)
 }
 
 // AllPairs computes the reachability matrix over the pool, sharded by

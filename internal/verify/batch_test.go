@@ -159,22 +159,24 @@ func TestBatchAllPairsMatchesTraceSemantics(t *testing.T) {
 	}
 }
 
-// TestMemoMetrics: repeated differentials against the same snapshot must
-// hit the per-class memo, and the query/flow counters must advance.
+// TestMemoMetrics: a repeated query against the same snapshot must hit the
+// per-class memo — a rerun pays once — and the query/flow counters must
+// advance.
 func TestMemoMetrics(t *testing.T) {
-	topo, aftsA := lineNet()
-	_, aftsB := lineNet()
-	aftsB["r2"] = buildAFT(aftSpec{device: "r2", routes: map[string]string{"1.1.1.2/32": "recv"}})
-	before := mustNet(t, topo, aftsA)
-	after := mustNet(t, topo, aftsB)
+	topo, afts := lineNet()
+	// r2 sends 9/8 back to r1: a two-node loop.
+	afts["r2"] = buildAFT(aftSpec{device: "r2", routes: map[string]string{"9.0.0.0/8": "Ethernet1", "1.1.1.2/32": "recv"}})
+	n := mustNet(t, topo, afts)
 	o := obs.New()
-	before.SetObserver(o)
-	after.SetObserver(o)
+	n.SetObserver(o)
 
-	first := Differential(before, after)
+	first := n.DetectLoops()
+	if len(first) == 0 {
+		t.Fatal("no loop to detect")
+	}
 	misses := o.Counter("verify_memo_misses_total").Value()
 	if misses == 0 {
-		t.Fatal("first differential recorded no memo misses")
+		t.Fatal("first query recorded no memo misses")
 	}
 	if v := o.Counter("verify_queries_total").Value(); v != 1 {
 		t.Errorf("verify_queries_total = %d, want 1", v)
@@ -183,7 +185,7 @@ func TestMemoMetrics(t *testing.T) {
 		t.Error("verify_flows_total = 0")
 	}
 
-	second := Differential(before, after)
+	second := n.DetectLoops()
 	if !reflect.DeepEqual(first, second) {
 		t.Fatal("memoized rerun changed the result")
 	}
@@ -193,8 +195,8 @@ func TestMemoMetrics(t *testing.T) {
 	if v := o.Counter("verify_memo_hits_total").Value(); v == 0 {
 		t.Error("rerun recorded no memo hits")
 	}
-	if h := o.Histogram("verify_wall_ns", "query", "differential"); h.Count() != 2 {
-		t.Errorf("differential wall histogram count = %d, want 2", h.Count())
+	if h := o.Histogram("verify_wall_ns", "query", "loops"); h.Count() != 2 {
+		t.Errorf("loops wall histogram count = %d, want 2", h.Count())
 	}
 }
 

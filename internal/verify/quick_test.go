@@ -20,35 +20,46 @@ import (
 func randomAFTs(r *rand.Rand, topo *topology.Topology, prefixes int, cluster, ecmp bool) map[string]*aft.AFT {
 	afts := map[string]*aft.AFT{}
 	for _, node := range topo.Nodes {
-		b := aft.NewBuilder(node.Name)
-		hop := func() uint64 {
-			switch r.Intn(4) {
-			case 0:
-				return b.AddNextHop(aft.NextHop{Receive: true})
-			case 1:
-				return b.AddNextHop(aft.NextHop{Drop: true})
-			case 2:
-				return b.AddNextHop(aft.NextHop{Interface: "Ethernet1", IPAddress: "10.0.0.1"})
-			default:
-				return b.AddNextHop(aft.NextHop{Interface: "Ethernet2", IPAddress: "10.0.0.2"})
-			}
-		}
-		for p := 0; p < prefixes; p++ {
-			var a [4]byte
-			r.Read(a[:])
-			if cluster {
-				a[0] = byte(r.Intn(4) * 64)
-			}
-			prefix := netip.PrefixFrom(netip.AddrFrom4(a), 1+r.Intn(32)).Masked()
-			idx := []uint64{hop()}
-			if ecmp && r.Intn(4) == 0 {
-				idx = append(idx, hop())
-			}
-			b.AddIPv4(prefix, b.AddGroup(idx), "test", 0)
-		}
-		afts[node.Name] = b.Build()
+		afts[node.Name] = randomTable(r, node.Name, prefixes, cluster, ecmp)
 	}
 	return afts
+}
+
+// randomTable draws one device's table for randomAFTs. A prefix drawn twice
+// keeps its first route, so every table is a function.
+func randomTable(r *rand.Rand, name string, prefixes int, cluster, ecmp bool) *aft.AFT {
+	b := aft.NewBuilder(name)
+	hop := func() uint64 {
+		switch r.Intn(4) {
+		case 0:
+			return b.AddNextHop(aft.NextHop{Receive: true})
+		case 1:
+			return b.AddNextHop(aft.NextHop{Drop: true})
+		case 2:
+			return b.AddNextHop(aft.NextHop{Interface: "Ethernet1", IPAddress: "10.0.0.1"})
+		default:
+			return b.AddNextHop(aft.NextHop{Interface: "Ethernet2", IPAddress: "10.0.0.2"})
+		}
+	}
+	seen := map[netip.Prefix]bool{}
+	for p := 0; p < prefixes; p++ {
+		var a [4]byte
+		r.Read(a[:])
+		if cluster {
+			a[0] = byte(r.Intn(4) * 64)
+		}
+		prefix := netip.PrefixFrom(netip.AddrFrom4(a), 1+r.Intn(32)).Masked()
+		idx := []uint64{hop()}
+		if ecmp && r.Intn(4) == 0 {
+			idx = append(idx, hop())
+		}
+		group := b.AddGroup(idx)
+		if !seen[prefix] {
+			seen[prefix] = true
+			b.AddIPv4(prefix, group, "test", 0)
+		}
+	}
+	return b.Build()
 }
 
 // buildRandom builds a random ring network (see randomAFTs).
@@ -165,6 +176,15 @@ func TestQuickDifferentialDeterministicAcrossWorkers(t *testing.T) {
 	if err := quick.Check(f, &quick.Config{MaxCount: 20, Rand: rand.New(rand.NewSource(47))}); err != nil {
 		t.Error(err)
 	}
+}
+
+// outcome returns the canonical outcome for src, falling back to the
+// NoRoute self-outcome Trace produces for devices without forwarding state.
+func (m dstOutcomes) outcome(src string) string {
+	if o, ok := m[src]; ok && o.canon != "" {
+		return o.canon
+	}
+	return NoRoute.String() + "@" + src
 }
 
 // Property: the memoized per-device solver agrees with the unmemoized Trace

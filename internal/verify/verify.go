@@ -159,7 +159,10 @@ const maxBranches = 64
 // its predecessor.
 type device struct {
 	name string
-	fib  *routing.Trie[*fibEntry]
+	// src is the table the device indexed; UpdateFrom reuses the device for
+	// that very table only, and only if it is sealed.
+	src *aft.AFT
+	fib *routing.Trie[*fibEntry]
 	// bounds are the equivalence-class interval cuts this device's prefixes
 	// contribute (each prefix's start and end-successor as u32), cached at
 	// build time so computeClasses only re-derives intervals for rebuilt
@@ -361,7 +364,7 @@ func buildDevice(name string, a *aft.AFT) (*device, error) {
 	for id, hops := range resolved {
 		groups[id] = internHops(hops)
 	}
-	d := &device{name: name, fib: routing.NewTrie[*fibEntry]()}
+	d := &device{name: name, src: a, fib: routing.NewTrie[*fibEntry]()}
 	// Bulk-allocate the entries: one backing array instead of a heap object
 	// per route keeps the retained per-router footprint flat at 10k devices.
 	entries := make([]fibEntry, 0, len(a.IPv4Entries))
@@ -412,20 +415,19 @@ func (n *Network) rebuildOwners() {
 	}
 }
 
-// UpdateFrom builds the verification snapshot that follows n after only the
-// dirty devices changed. Clean devices — present in both snapshots and not
-// named in dirty — reuse n's indexed tries and cached equivalence-class
-// interval contributions, so the rebuild cost is proportional to the blast
-// radius rather than the network size. afts is the device set of the new
-// snapshot — normally the complete AFT set, but a growing partial set is
-// also legal (the region-sharded pipeline streams each finished region's
-// AFTs into the accumulating network; devices absent from afts simply have
-// no forwarding state yet). dirty must name every device whose AFT differs
-// from n's (a superset is fine; the chaos engine derives it from the
-// emulator's FIB-generation stamps). Worker-pool size and observability
-// handles carry over; the memoized per-class outcomes do not, since path
-// outcomes are a global property.
-func (n *Network) UpdateFrom(afts map[string]*aft.AFT, dirty []string) (*Network, error) {
+// UpdateFrom builds the verification snapshot for afts on n's topology,
+// reusing n's indexed trie and cached equivalence-class interval
+// contributions for every device handed the very sealed table (see aft.AFT)
+// n indexed for it. Sealed tables never change, so the reuse is exact, and
+// the rebuild cost tracks the tables that are new rather than the network
+// size: the emulator hands out one cached table per router FIB generation.
+// afts is the device set of the new snapshot — normally the complete AFT
+// set, but a growing partial set is also legal (the region-sharded pipeline
+// folds each finished region's AFTs into the accumulating network; devices
+// absent from afts simply have no forwarding state yet). Worker-pool size
+// and observability handles carry over; the memoized per-class outcomes do
+// not, since path outcomes are a global property.
+func (n *Network) UpdateFrom(afts map[string]*aft.AFT) (*Network, error) {
 	out := &Network{
 		topo:    n.topo,
 		devices: make(map[string]*device, len(afts)),
@@ -444,12 +446,8 @@ func (n *Network) UpdateFrom(afts map[string]*aft.AFT, dirty []string) (*Network
 		gInflight:   n.gInflight,
 		wallHist:    n.wallHist,
 	}
-	dirtySet := make(map[string]bool, len(dirty))
-	for _, name := range dirty {
-		dirtySet[name] = true
-	}
 	for name, a := range afts {
-		if d, ok := n.devices[name]; ok && !dirtySet[name] {
+		if d, ok := n.devices[name]; ok && d.src == a && a.Sealed() {
 			out.devices[name] = d
 			continue
 		}
@@ -695,11 +693,12 @@ func (d Diff) String() string {
 // snapshots: it evaluates every equivalence class of either network from
 // every device and reports flows whose outcome changed. This is the query
 // the paper uses to validate the pipeline (experiment E1) and to compare
-// model-based against model-free dataplanes (experiment E3). It runs on the
-// batch engine: flows are sharded across a worker pool (sized by whichever
-// snapshot has SetWorkers configured) and per-device outcomes are memoized
-// on each network, while the merged output stays byte-identical to the
-// sequential evaluation order regardless of worker count.
+// model-based against model-free dataplanes (experiment E3). Classes are
+// sharded across a worker pool (sized by whichever snapshot has SetWorkers
+// configured), only the flows that can reach a device forwarding the class
+// differently are solved (see differential.go), and the merged output stays
+// byte-identical to the sequential evaluation order regardless of worker
+// count.
 func Differential(before, after *Network) []Diff {
 	w := before.workers
 	if w == 0 {

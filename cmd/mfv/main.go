@@ -886,7 +886,7 @@ func cmdSweep(args []string) error {
 	f := newFlags("sweep")
 	k := f.fs.Int("k", 1, "failure depth: 1 (all singles) or 2 (singles + pairs)")
 	kindCSV := f.fs.String("kinds", "link,node,bgp", "comma-separated failure element kinds")
-	brute := f.fs.Bool("brute", false, "disable the fingerprint and independence prunes (every candidate applied and verified)")
+	brute := f.fs.Bool("brute", false, "disable the fingerprint prune (every candidate verified; the ranked table is unchanged)")
 	top := f.fs.Int("top", 0, "print only the worst N rows (0 = all)")
 	replicas := f.fs.Int("replicas", 0, "emulation replica lanes for the apply/settle/rollback chains (0 = derive from -workers; capped by the memory budget)")
 	memBudget := f.fs.Int64("mem-budget", 0, "replica-pool memory budget in bytes (0 = 8 GiB; pool capped at budget / (routers × 256 KiB))")

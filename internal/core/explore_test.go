@@ -2,25 +2,42 @@ package core
 
 import (
 	"net/netip"
+	"reflect"
 	"testing"
 
 	"mfv/internal/testnet"
 	"mfv/internal/topology"
 )
 
+// TestExploreOrderingsAgreeOnDeterministicNetwork: Fig. 2 and the Triangle
+// have one stable state (their decision processes are fully determined by
+// the config, with no timing-dependent tie-breaks), so every event ordering
+// converges to identical dataplanes. Disagree has two, and r2 and r3 land in
+// one or the other depending on the ordering.
 func TestExploreOrderingsAgreeOnDeterministicNetwork(t *testing.T) {
-	// The Fig. 2 network's decision process is fully determined by the
-	// config (no timing-dependent tie-breaks), so different event orderings
-	// must converge to identical dataplanes.
-	rep, err := ExploreOrderings(Snapshot{Topology: testnet.Fig2()}, Options{}, []int64{1, 7, 99})
-	if err != nil {
-		t.Fatal(err)
+	seeds := []int64{1, 2, 3, 4, 5, 6, 7, 8}
+	cases := []struct {
+		name      string
+		topo      *topology.Topology
+		divergent []string // nil: the orderings must agree
+	}{
+		{"fig2", testnet.Fig2(), nil},
+		{"triangle", testnet.Triangle(), nil},
+		{"disagree", testnet.Disagree(), []string{"r2", "r3"}},
 	}
-	if !rep.Agree {
-		t.Errorf("orderings diverged on: %v", rep.DivergentDevices)
-	}
-	if rep.Seeds != 3 || len(rep.ConvergedAt) != 3 {
-		t.Errorf("report = %+v", rep)
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			rep, err := ExploreOrderings(Snapshot{Topology: tc.topo}, Options{}, seeds)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if rep.Agree != (tc.divergent == nil) || !reflect.DeepEqual(rep.DivergentDevices, tc.divergent) {
+				t.Errorf("Agree=%v DivergentDevices=%v, want divergent %v", rep.Agree, rep.DivergentDevices, tc.divergent)
+			}
+			if rep.Seeds != len(seeds) || len(rep.ConvergedAt) != len(seeds) {
+				t.Errorf("report = %+v", rep)
+			}
+		})
 	}
 }
 

@@ -16,7 +16,9 @@ import (
 )
 
 // JournalVersion is the current sweep write-ahead-log line format version.
-const JournalVersion = 1
+// Version 1 journals may hold k=2 verdicts that were predicted, never
+// measured, so they are refused.
+const JournalVersion = 2
 
 // SweepJournalName is the journal file a sweep keeps inside its journal
 // directory.

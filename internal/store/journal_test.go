@@ -17,7 +17,7 @@ func testEntries() []store.JournalEntry {
 	return []store.JournalEntry{
 		{Index: 0, Cand: "bgp r1", FP: "fp1", Rep: true, Dirty: []string{"r1", "r2"}, ReconvNS: 1500, Lost: 2, Changed: 3, Diffs: []string{"flow a", "flow b"}},
 		{Index: 1, Cand: "bgp r2", FP: "fp1", Pruned: "fingerprint", Lost: 2, Changed: 3, Diffs: []string{"flow a", "flow b"}},
-		{Index: 2, Cand: "link r1:Ethernet1 + bgp r2", Pruned: "independent"},
+		{Index: 2, Cand: "link r1:Ethernet1 + bgp r2", Pruned: "fingerprint"},
 		{Index: 3, Cand: "node r3", Poisoned: "panic: boom"},
 	}
 }

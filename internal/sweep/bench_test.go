@@ -1,7 +1,6 @@
 package sweep
 
 import (
-	"fmt"
 	"testing"
 	"time"
 
@@ -82,10 +81,9 @@ func BenchmarkSweepSingleFailure(b *testing.B) {
 }
 
 // BenchmarkSweepDoubleFailure measures the k=2 pair sweep of the 30-node
-// WAN's BGP services (30 singles + 435 pairs), pruned versus brute. The
-// pruned arm exercises the phase barrier and the independence prune — on a
-// healthy WAN most BGP pairs are independently harmless, so the gap between
-// the arms is the prune's value; the byte-identity check between them is the
+// WAN's BGP services (4 singles + 6 pairs), pruned versus brute. Both
+// arms apply every candidate; the fingerprint prune must verify strictly
+// fewer, and the byte-identity check between the arms' ranked tables is the
 // k=2 soundness bar at benchmark scale.
 func BenchmarkSweepDoubleFailure(b *testing.B) {
 	reports := map[string]*Report{}
@@ -120,21 +118,11 @@ func BenchmarkSweepDoubleFailure(b *testing.B) {
 	if pruned == nil || brute == nil {
 		return
 	}
-	if pruned.Applied >= brute.Applied {
-		b.Errorf("independence prune applied %d candidates, brute %d — want strictly fewer", pruned.Applied, brute.Applied)
+	if pruned.Table(0) != brute.Table(0) {
+		b.Errorf("pruned k=2 ranked table differs from brute:\n%s\n%s", brute.Table(0), pruned.Table(0))
 	}
-	// An independent-pruned pair reports predicted zeros with "-" timing, so
-	// the k=2 tables legitimately differ per row; the verdicts must not.
-	for i := range pruned.Rows {
-		p, q := pruned.Rows[i], brute.Rows[i]
-		if p.FlowsLost != q.FlowsLost || p.Failure == "" || q.Failure == "" {
-			b.Errorf("row %d verdict mismatch: pruned %q lost %d, brute %q lost %d",
-				i, p.Failure, p.FlowsLost, q.Failure, q.FlowsLost)
-			break
-		}
-	}
-	if fmt.Sprint(pruned.Violations) != fmt.Sprint(brute.Violations) {
-		b.Errorf("violation counts differ: pruned %d, brute %d", pruned.Violations, brute.Violations)
+	if pruned.Verified >= brute.Verified {
+		b.Errorf("fingerprint prune verified %d candidates, brute %d — want strictly fewer", pruned.Verified, brute.Verified)
 	}
 }
 

@@ -41,13 +41,14 @@ const replicaBytesPerRouter = 256 << 10
 // defaultMemoryBudget bounds the replica pool at 8 GiB unless overridden.
 const defaultMemoryBudget int64 = 8 << 30
 
-// journalChunkSize is the durability granularity of a journaled sweep: each
-// phase is processed in contiguous canonical-order chunks of this many
-// candidates, with verification and an fsynced journal flush at each chunk
-// barrier. A crash loses at most one in-flight chunk. Chunks are canonical
+// chunkSize is the verification and durability granularity of a sweep: the
+// candidate list is processed in contiguous canonical-order chunks of this
+// many candidates, with verification (and, when journaled, an fsynced journal
+// flush) at each chunk barrier. A crash loses at most one in-flight chunk, and
+// only one chunk's settled snapshots are held at a time. Chunks are canonical
 // prefixes, so the fingerprint-dedup walk (representative assignment) is
-// provably identical to the unjournaled single-barrier walk.
-const journalChunkSize = 32
+// identical to a single-barrier walk over the whole list.
+const chunkSize = 32
 
 // defaultRetryBudget caps re-attempts of a candidate whose evaluation
 // panicked before the candidate is poisoned.
@@ -130,7 +131,7 @@ type outcome struct {
 	stragglers  []string
 	quarantined []string
 	residue     int      // flows still diverging after rollback
-	pruned      string   // "", "fingerprint", "independent"
+	pruned      string   // "" or "fingerprint"
 	dupOf       *outcome // representative whose verdict this candidate shares
 	verdict     *verdict
 	// restored marks an outcome rebuilt from a journal entry (not evaluated
@@ -264,62 +265,36 @@ func Run(em *kne.Emulator, topo *topology.Topology, opts Options) (*Report, erro
 		defer e.journal.Close()
 	}
 
+	// The canonical candidate list: every single, then (k=2) every pair in
+	// element order. Lanes apply it chained on their own emulators;
+	// verification and journaling happen at chunk barriers.
+	cands := make([]Candidate, 0, len(elems))
+	for _, el := range elems {
+		cands = append(cands, Candidate{Elements: []Element{el}})
+	}
+	if opts.K == 2 {
+		for i := range elems {
+			for j := i + 1; j < len(elems); j++ {
+				if !sameTarget(elems[i], elems[j]) {
+					cands = append(cands, Candidate{Elements: []Element{elems[i], elems[j]}})
+				}
+			}
+		}
+	}
+
 	e.buildPool(len(elems))
 	defer e.stopPool()
 	rep.Replicas = len(e.pool)
 	e.obs.Metrics().Gauge("sweep_replicas").Set(int64(len(e.pool)))
 
-	// Phase 1: apply every k=1 candidate across the replica pool, each lane
-	// chaining rollbacks on its own emulator. Verification (and journaling)
-	// happens inside the phase at chunk barriers; by the time the phase
-	// returns, every evaluated k=1 candidate carries its verdict — which the
-	// pair-enumeration independence prune consumes.
-	cands := make([]Candidate, len(elems))
-	for i, el := range elems {
-		cands[i] = Candidate{Elements: []Element{el}}
-	}
-	k1 := make([]*outcome, len(cands))
-	e.restoreSlots(cands, k1)
-	interrupted, err := e.runPhase(cands, k1, 0)
+	out := make([]*outcome, len(cands))
+	e.restoreSlots(cands, out)
+	interrupted, err := e.runPhase(cands, out)
 	if err != nil {
 		return nil, err
 	}
 	rep.Interrupted = interrupted
-	all := e.merge(k1)
-
-	if opts.K >= 2 && !rep.Interrupted {
-		single := map[string]*outcome{}
-		for _, o := range all {
-			single[o.cand.Elements[0].Describe()] = o
-		}
-		// Enumerate pairs in canonical order, deciding prunes up front from
-		// the merged k=1 verdicts; surviving pairs partition across lanes.
-		var pairCands []Candidate
-		var pairOut []*outcome
-		for i := 0; i < len(elems); i++ {
-			for j := i + 1; j < len(elems); j++ {
-				if sameTarget(elems[i], elems[j]) {
-					continue
-				}
-				cand := Candidate{Elements: []Element{elems[i], elems[j]}}
-				a, b := single[elems[i].Describe()], single[elems[j].Describe()]
-				if !opts.Brute && independentlyHarmless(a, b) {
-					pairCands = append(pairCands, cand)
-					pairOut = append(pairOut, &outcome{cand: cand, pruned: "independent"})
-					continue
-				}
-				pairCands = append(pairCands, cand)
-				pairOut = append(pairOut, nil)
-			}
-		}
-		e.restoreSlots(pairCands, pairOut)
-		interrupted, err := e.runPhase(pairCands, pairOut, len(cands))
-		if err != nil {
-			return nil, err
-		}
-		rep.Interrupted = rep.Interrupted || interrupted
-		all = append(all, e.merge(pairOut)...)
-	}
+	all := e.merge(out)
 
 	rep.FinishedAt = em.Sim().Now()
 	rep.Wall = time.Since(wallStart)
@@ -411,25 +386,16 @@ func (e *engine) stopPool() {
 	}
 }
 
-// runPhase drives one phase (the k=1 singles or the k=2 pairs) through
-// evaluation, verification, and journaling. Unjournaled sweeps process the
-// whole phase as one chunk (the original single-barrier walk); journaled
-// sweeps chunk it so verdicts become durable incrementally. idxBase is the
-// phase's offset into the global canonical candidate index, recorded in
-// journal entries. Chunks are contiguous canonical-order slices processed in
-// order, so the fingerprint-dedup walk across chunk boundaries is identical
-// to the single-barrier walk.
-func (e *engine) runPhase(cands []Candidate, out []*outcome, idxBase int) (bool, error) {
-	if len(cands) == 0 {
-		return false, nil
-	}
-	chunk := len(cands)
-	if e.journal != nil && journalChunkSize < chunk {
-		chunk = journalChunkSize
-	}
+// runPhase drives the canonical candidate list through evaluation,
+// verification, and journaling, one chunk at a time, so verdicts become
+// durable incrementally and settled snapshots are released as soon as their
+// chunk is verified. Chunks are contiguous canonical-order slices processed
+// in order, so the fingerprint-dedup walk across chunk boundaries is
+// identical to a single-barrier walk.
+func (e *engine) runPhase(cands []Candidate, out []*outcome) (bool, error) {
 	interrupted := false
-	for lo := 0; lo < len(cands) && !interrupted; lo += chunk {
-		hi := lo + chunk
+	for lo := 0; lo < len(cands) && !interrupted; lo += chunkSize {
+		hi := lo + chunkSize
 		if hi > len(cands) {
 			hi = len(cands)
 		}
@@ -442,7 +408,7 @@ func (e *engine) runPhase(cands []Candidate, out []*outcome, idxBase int) (bool,
 		// that is a partial chunk, and journaling it means the resumed run
 		// starts exactly where this one stopped.
 		e.verifyChunk(out[lo:hi])
-		if err := e.journalChunk(idxBase+lo, out[lo:hi]); err != nil {
+		if err := e.journalChunk(lo, out[lo:hi]); err != nil {
 			return false, err
 		}
 	}
@@ -713,32 +679,6 @@ func sameTarget(a, b Element) bool {
 	return a.Node != "" && a.Node == b.Node
 }
 
-// independentlyHarmless is the k=2 independence prune: when both members
-// were individually harmless in every respect (no outcome changes, clean
-// rollback, no stragglers or quarantine) and their blast radii are disjoint,
-// the pair is predicted harmless without being applied. This is a
-// partial-order-reduction heuristic, not a proof — -brute re-verifies it.
-func independentlyHarmless(a, b *outcome) bool {
-	harmless := func(o *outcome) bool {
-		return o != nil && o.pruned != "independent" && o.poisoned == "" &&
-			o.verdict != nil && o.verdict.Changed == 0 && o.residue == 0 &&
-			len(o.stragglers) == 0 && len(o.quarantined) == 0
-	}
-	if !harmless(a) || !harmless(b) {
-		return false
-	}
-	seen := map[string]bool{}
-	for _, d := range a.dirty {
-		seen[d] = true
-	}
-	for _, d := range b.dirty {
-		if seen[d] {
-			return false
-		}
-	}
-	return true
-}
-
 func (e *engine) interrupted() bool {
 	return e.opts.Ctx != nil && e.opts.Ctx.Err() != nil
 }
@@ -905,12 +845,12 @@ func (e *engine) fingerprint(r *replica, o *outcome) string {
 // re-register their representative role (so later candidates dedup against
 // them exactly as they did in the interrupted run) and re-count toward
 // Verified. Because chunks are canonical prefixes processed in order, the
-// repByFP state at every decision point is identical to the unjournaled
-// single-barrier walk's.
+// repByFP state at every decision point is identical to a single-barrier
+// walk's.
 func (e *engine) verifyChunk(pend []*outcome) {
 	var reps []*outcome
 	for _, o := range pend {
-		if o == nil || o.pruned == "independent" || o.poisoned != "" {
+		if o == nil || o.poisoned != "" {
 			continue
 		}
 		if o.restored {
@@ -947,9 +887,14 @@ func (e *engine) verifyChunk(pend []*outcome) {
 		return nil
 	})
 	for _, o := range pend {
-		if o != nil && o.dupOf != nil {
+		if o == nil {
+			continue
+		}
+		if o.dupOf != nil {
 			o.verdict = o.dupOf.verdict
 		}
+		// The verdict is all the report needs: release the settled snapshots.
+		o.base, o.impact = snapchain.Snap{}, snapchain.Snap{}
 	}
 	e.verified += len(reps)
 }
@@ -1021,11 +966,9 @@ func (e *engine) inputHash(elems []Element) string {
 	return hex.EncodeToString(h.Sum(nil))
 }
 
-// restoreSlots pre-fills candidate slots from the resumed journal. Slots the
-// pair enumeration already decided (independent prunes) are marked restored
-// when journaled, so they are not re-journaled. Because the journal is a
-// canonical prefix, the restored set is exactly "everything the interrupted
-// run completed".
+// restoreSlots pre-fills candidate slots from the resumed journal. Because
+// the journal is a canonical prefix, the restored set is exactly "everything
+// the interrupted run completed".
 func (e *engine) restoreSlots(cands []Candidate, out []*outcome) {
 	if len(e.resumed) == 0 {
 		return
@@ -1034,10 +977,6 @@ func (e *engine) restoreSlots(cands []Candidate, out []*outcome) {
 	for i := range cands {
 		ent, ok := e.resumed[cands[i].Describe()]
 		if !ok {
-			continue
-		}
-		if out[i] != nil {
-			out[i].restored = true
 			continue
 		}
 		out[i] = &outcome{
@@ -1059,8 +998,9 @@ func (e *engine) restoreSlots(cands []Candidate, out []*outcome) {
 }
 
 // journalChunk appends the chunk's newly produced verdicts (canonical order,
-// restored entries excluded) and fsyncs — the chunk's durability barrier.
-func (e *engine) journalChunk(idxBase int, pend []*outcome) error {
+// restored entries excluded) and fsyncs — the chunk's durability barrier. lo
+// is the chunk's offset into the canonical candidate list.
+func (e *engine) journalChunk(lo int, pend []*outcome) error {
 	if e.journal == nil {
 		return nil
 	}
@@ -1074,7 +1014,7 @@ func (e *engine) journalChunk(idxBase int, pend []*outcome) error {
 			v = &verdict{}
 		}
 		ent := store.JournalEntry{
-			Index:       idxBase + i,
+			Index:       lo + i,
 			Cand:        o.cand.Describe(),
 			FP:          o.fp,
 			Rep:         o.wasRep,
@@ -1105,22 +1045,16 @@ func (e *engine) journalChunk(idxBase int, pend []*outcome) error {
 func (e *engine) assemble(rep *Report, all []*outcome) {
 	m := e.obs.Metrics()
 	rep.Candidates = len(all)
+	rep.Applied = len(all)
 	rep.Verified = e.verified
 	for _, o := range all {
 		label := "none"
-		switch o.pruned {
-		case "fingerprint":
+		if o.pruned == "fingerprint" {
 			label = "fingerprint"
 			rep.PrunedFingerprint++
-			rep.Applied++
-		case "independent":
-			label = "independent"
-			rep.PrunedIndependent++
-		default:
-			rep.Applied++
 		}
 		m.Counter("sweep_candidates_total", "pruned", label).Inc()
-		if o.pruned != "independent" && o.poisoned == "" {
+		if o.poisoned == "" {
 			m.Histogram("sweep_reconverge_ns", "k", fmt.Sprint(len(o.cand.Elements))).Observe(int64(o.reconv))
 		}
 		v := o.verdict

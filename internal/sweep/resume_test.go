@@ -1,6 +1,7 @@
 package sweep
 
 import (
+	"encoding/json"
 	"fmt"
 	"os"
 	"strings"
@@ -151,6 +152,54 @@ func TestSweepResumeInputMismatch(t *testing.T) {
 	em3 := boot(t, testnet.Fig2(), 42)
 	if _, err := Run(em3, testnet.Fig2(), Options{K: 1, Workers: 1, Resume: true}); err == nil {
 		t.Fatal("Resume without JournalDir accepted")
+	}
+}
+
+// TestSweepResumeRefusesVersion1Journal: a version-1 journal may hold k=2
+// pairs that were never applied, journaled with predicted zero verdicts.
+// Resuming one must be an error, not a report that carries those verdicts
+// forward.
+func TestSweepResumeRefusesVersion1Journal(t *testing.T) {
+	dir := t.TempDir()
+	opts := Options{K: 2, Workers: 1, JournalDir: dir}
+	if _, err := Run(boot(t, testnet.Triangle(), 42), testnet.Triangle(), opts); err != nil {
+		t.Fatal(err)
+	}
+	// Rewrite the journal as version 1 with one pair predicted harmless,
+	// keeping the input and baseline it was recorded under.
+	path := store.SweepJournalPath(dir)
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var hdr store.JournalHeader
+	if err := json.Unmarshal([]byte(strings.SplitN(string(data), "\n", 2)[0][9:]), &hdr); err != nil {
+		t.Fatal(err)
+	}
+	j, entries, err := store.ResumeJournal(path, hdr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	j.Close()
+	hdr.Version = 1
+	if j, err = store.CreateJournal(path, hdr); err != nil {
+		t.Fatal(err)
+	}
+	for _, ent := range entries {
+		if ent.Cand == "link r1:Ethernet1 + link r1:Ethernet2" {
+			ent = store.JournalEntry{Index: ent.Index, Cand: ent.Cand}
+		}
+		if err := j.Append(ent); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := j.Close(); err != nil {
+		t.Fatal(err)
+	}
+	opts.Resume = true
+	_, err = Run(boot(t, testnet.Triangle(), 42), testnet.Triangle(), opts)
+	if err == nil || !strings.Contains(err.Error(), "journal version 1 unsupported") {
+		t.Fatalf("resuming a version-1 journal: err = %v, want a version refusal", err)
 	}
 }
 

@@ -6,14 +6,14 @@
 // radius with the differential against the healthy baseline, and rolls
 // the candidate back so the next one chains off a restored snapshot.
 //
-// The combinatorial space stays tractable through two prunes, Plankton-style
-// (PAPERS.md): candidates whose dirty-set fingerprints match an already
-// verified candidate share its verdict (symmetric failures verify once), and
-// k=2 pairs whose members were independently harmless with disjoint dirty
-// sets are skipped without being applied. Verification of the surviving
+// Every candidate is applied. One prune keeps verification tractable:
+// candidates whose dirty-set fingerprints match an already verified
+// candidate share its verdict (symmetric failures verify once), which is
+// exact because equal fingerprints mean identical forwarding state changed
+// identically against an identical baseline. Verification of the
 // representatives is sharded across a worker pool with a deterministic
-// merge, so the ranked table is byte-identical at any worker count — and,
-// for k=1, byte-identical with pruning disabled.
+// merge, so the ranked table is byte-identical at any worker count and with
+// the prune disabled (Options.Brute).
 //
 // The apply→settle→rollback chain itself is also parallel: the engine forks
 // the converged emulation into a pool of deterministic replicas
@@ -23,9 +23,8 @@
 // candidate's injection is clock-aligned and RNG-reseeded from its identity,
 // a candidate's measured timeline is a pure function of (baseline,
 // candidate) — so the partition is invisible and the ranked table stays
-// byte-identical at any replica count. The k=1 verification barrier sits
-// between the phases: all k=1 verdicts merge before k=2 pairs are
-// enumerated, because the independence prune consumes them.
+// byte-identical at any replica count. Singles and pairs form one canonical
+// candidate list (every single, then every pair) that runs as one phase.
 package sweep
 
 import (
@@ -113,8 +112,8 @@ type Options struct {
 	// Workers sizes the verification worker pool (0 = GOMAXPROCS). The
 	// ranked table is byte-identical at any value.
 	Workers int
-	// Brute disables both prunes: every candidate is applied and verified.
-	// The k=1 ranked table must be byte-identical to the pruned run's.
+	// Brute disables the fingerprint prune: every candidate is verified.
+	// The ranked table must be byte-identical to the pruned run's at any k.
 	Brute bool
 	// Hold is the quiet window that counts as settled (default 2m — must
 	// exceed the BGP HoldTime so silent cuts reach withdrawal).
@@ -164,8 +163,8 @@ type Row struct {
 	// FlowsLost counts (source, equivalence-class) flows delivered in the
 	// healthy baseline but not under the failure — the violation signal.
 	FlowsLost int `json:"flows_lost"`
-	// FlowsChanged counts all flows whose outcome changed (rerouted
-	// deliveries included).
+	// FlowsChanged counts the flows whose outcome changed, lost flows
+	// included. A reroute that keeps the outcome is not counted.
 	FlowsChanged int `json:"flows_changed"`
 	// DirtyRouters is the blast radius in FIB terms: routers whose
 	// forwarding state the failure touched.
@@ -177,11 +176,9 @@ type Row struct {
 	// Residue counts flows still diverging from the baseline after
 	// rollback — nonzero means the candidate did not fully heal.
 	Residue int `json:"restore_residue,omitempty"`
-	// Pruned records how the verdict was obtained without a dedicated
-	// verification: "fingerprint" (shares an equivalent candidate's
-	// verdict) or "independent" (k=2 pair skipped; both members were
-	// independently harmless with disjoint dirty sets). Empty for
-	// directly verified candidates.
+	// Pruned is "fingerprint" when the candidate shares an equivalent
+	// candidate's verdict instead of running its own verification. Empty
+	// for directly verified candidates.
 	Pruned string `json:"pruned,omitempty"`
 	// Poisoned, when non-empty, records why this candidate has no verdict:
 	// its evaluation panicked more times than the retry budget allows, so it
@@ -202,14 +199,13 @@ type Report struct {
 	Kinds      []Kind `json:"kinds"`
 	Routers    int    `json:"routers"`
 	Candidates int    `json:"candidates"`
-	// Applied counts candidates actually injected (independent-pruned
-	// pairs are skipped without touching the network).
+	// Applied counts candidates injected into the network: every ranked
+	// candidate.
 	Applied int `json:"applied"`
 	// Verified counts differential verifications run; fingerprint-pruned
 	// candidates share a representative's and add nothing here.
 	Verified          int `json:"verified"`
 	PrunedFingerprint int `json:"pruned_fingerprint"`
-	PrunedIndependent int `json:"pruned_independent"`
 	// Violations counts candidates that lost at least one flow.
 	Violations int `json:"violations"`
 	// Poisoned counts candidates quarantined after exhausting the panic
@@ -231,9 +227,8 @@ type Report struct {
 
 // Table renders the ranked blast-radius table (top rows only when top > 0).
 // It contains results exclusively — no prune bookkeeping, no wall times — so
-// a pruned sweep and a brute-force sweep of the same k=1 space render
-// byte-identical tables, at any worker count. (At k=2 an independent-pruned
-// pair shows predicted zeros with "-" timing, since it was never applied.)
+// a pruned sweep and a brute-force sweep of the same space render
+// byte-identical tables, at any k and any worker count.
 func (r *Report) Table(top int) string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "%4s  %-40s %2s %6s %8s %6s %12s  %s\n",
@@ -261,13 +256,9 @@ func (r *Report) Table(top int) string {
 		if row.Residue > 0 {
 			status += fmt.Sprintf(" (restore residue: %d)", row.Residue)
 		}
-		reconv := "-"
-		if row.Pruned != "independent" {
-			reconv = row.ReconvergedIn.String()
-		}
 		fmt.Fprintf(&b, "%4d  %-40s %2d %6d %8d %6d %12s  %s\n",
 			row.Rank, row.Failure, row.K, row.FlowsLost, row.FlowsChanged,
-			row.DirtyRouters, reconv, status)
+			row.DirtyRouters, row.ReconvergedIn, status)
 	}
 	return b.String()
 }
@@ -280,9 +271,8 @@ func (r *Report) Render(top int) string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "failure sweep k=%d over %d router(s): %d candidate(s), %d applied, %d verified",
 		r.K, r.Routers, r.Candidates, r.Applied, r.Verified)
-	if r.PrunedFingerprint > 0 || r.PrunedIndependent > 0 {
-		fmt.Fprintf(&b, " (pruned: %d fingerprint, %d independent)",
-			r.PrunedFingerprint, r.PrunedIndependent)
+	if r.PrunedFingerprint > 0 {
+		fmt.Fprintf(&b, " (pruned: %d fingerprint)", r.PrunedFingerprint)
 	}
 	if r.Poisoned > 0 {
 		fmt.Fprintf(&b, " (%d poisoned)", r.Poisoned)

@@ -156,7 +156,7 @@ func TestSweepPrunedMatchesBruteK1(t *testing.T) {
 			if ref.Verified != ref.Candidates {
 				t.Errorf("brute verified %d of %d candidates", ref.Verified, ref.Candidates)
 			}
-			if ref.PrunedFingerprint != 0 || ref.PrunedIndependent != 0 {
+			if ref.PrunedFingerprint != 0 {
 				t.Errorf("brute run pruned: %+v", ref)
 			}
 			if tc.kinds != nil && ref.Candidates != len(tc.mk().Links) {
@@ -182,59 +182,42 @@ func TestSweepPrunedMatchesBruteK1(t *testing.T) {
 	}
 }
 
-// TestSweepK2PruneSound: at k=2 the independence prune predicts verdicts for
-// skipped pairs; every per-failure (lost, changed) verdict must match what
-// the brute-force sweep measures by actually applying the pair. Fig. 2 is too
-// small to have harmless singles (every element is a violation), so this runs
-// on the redundant 3x3 WAN grid, where most link cuts reroute nothing.
+// TestSweepK2PruneSound: at k=2 the pruned sweep must render the brute-force
+// sweep's ranked table byte for byte, at any worker count. Triangle and
+// Disagree are redundant BGP networks where two cuts that each only reroute
+// together isolate a router: a prune that reasons over where FIBs moved
+// cannot see the backup path a router keeps in reserve. WAN9 is the
+// redundant IGP grid, where most link cuts reroute nothing.
 func TestSweepK2PruneSound(t *testing.T) {
-	if testing.Short() {
-		t.Skip("full k=2 brute sweep")
+	cases := []struct {
+		name  string
+		mk    func() *topology.Topology
+		kinds []Kind
+		long  bool
+	}{
+		{"triangle", testnet.Triangle, nil, false},
+		{"disagree", testnet.Disagree, nil, false},
+		{"wan9", func() *topology.Topology { return testnet.WAN(9, false) }, []Kind{KindLink, KindBGP}, true},
 	}
-	kinds := []Kind{KindLink, KindBGP}
-	run := func(brute bool) *Report {
-		topo := testnet.WAN(9, false)
-		em, err := kne.New(kne.Config{Topology: topo, Sim: sim.New(42)})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := em.Start(); err != nil {
-			t.Fatal(err)
-		}
-		if _, err := em.RunUntilConverged(30*time.Second, time.Hour); err != nil {
-			t.Fatal(err)
-		}
-		rep, err := Run(em, topo, Options{K: 2, Kinds: kinds, Brute: brute})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return rep
-	}
-	brute := run(true)
-	pruned := run(false)
-	if pruned.Candidates != brute.Candidates {
-		t.Fatalf("candidate spaces differ: %d vs %d", pruned.Candidates, brute.Candidates)
-	}
-	if pruned.PrunedIndependent == 0 {
-		t.Error("no pairs independent-pruned on the redundant grid")
-	}
-	if pruned.Applied >= brute.Applied {
-		t.Errorf("prunes applied %d candidates, brute %d — nothing skipped", pruned.Applied, brute.Applied)
-	}
-	want := map[string][2]int{}
-	for _, row := range brute.Rows {
-		want[row.Failure] = [2]int{row.FlowsLost, row.FlowsChanged}
-	}
-	for _, row := range pruned.Rows {
-		w, ok := want[row.Failure]
-		if !ok {
-			t.Errorf("pruned-only candidate %q", row.Failure)
-			continue
-		}
-		if row.FlowsLost != w[0] || row.FlowsChanged != w[1] {
-			t.Errorf("%s: pruned verdict (%d lost, %d changed) != brute (%d, %d) [pruned=%q]",
-				row.Failure, row.FlowsLost, row.FlowsChanged, w[0], w[1], row.Pruned)
-		}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			if tc.long && testing.Short() {
+				t.Skip("full k=2 brute sweep")
+			}
+			run := func(brute bool, workers int) *Report {
+				rep, err := Run(boot(t, tc.mk(), 42), tc.mk(), Options{K: 2, Kinds: tc.kinds, Brute: brute, Workers: workers})
+				if err != nil {
+					t.Fatal(err)
+				}
+				return rep
+			}
+			want := run(true, 1).Table(0)
+			for _, w := range []int{1, 2, 8} {
+				if got := run(false, w).Table(0); got != want {
+					t.Errorf("workers=%d: pruned k=2 table differs from brute:\n%s\n%s", w, want, got)
+				}
+			}
+		})
 	}
 }
 
@@ -303,32 +286,6 @@ func TestSweepRejectsBadK(t *testing.T) {
 	for _, k := range []int{0, 3, -1} {
 		if _, err := Run(em, testnet.Fig2(), Options{K: k}); err == nil {
 			t.Errorf("k=%d accepted", k)
-		}
-	}
-}
-
-func TestIndependentlyHarmless(t *testing.T) {
-	harmless := func(dirty ...string) *outcome { return &outcome{dirty: dirty, verdict: &verdict{}} }
-	cases := []struct {
-		name string
-		a, b *outcome
-		want bool
-	}{
-		{"disjoint-harmless", harmless("r1"), harmless("r2"), true},
-		{"empty-dirty", harmless(), harmless(), true},
-		{"overlapping", harmless("r1", "r2"), harmless("r2"), false},
-		{"lossy-member", &outcome{verdict: &verdict{Changed: 1}}, harmless("r2"), false},
-		{"unverified-member", &outcome{}, harmless("r2"), false},
-		{"residue-member", &outcome{residue: 1, verdict: &verdict{}}, harmless("r2"), false},
-		{"straggler-member", &outcome{stragglers: []string{"r9"}, verdict: &verdict{}}, harmless("r2"), false},
-		{"quarantined-member", &outcome{quarantined: []string{"r9"}, verdict: &verdict{}}, harmless("r2"), false},
-		{"missing-member", nil, harmless("r2"), false},
-		{"pruned-member", &outcome{pruned: "independent", verdict: &verdict{}}, harmless("r2"), false},
-		{"poisoned-member", &outcome{poisoned: "panic: x", verdict: &verdict{}}, harmless("r2"), false},
-	}
-	for _, c := range cases {
-		if got := independentlyHarmless(c.a, c.b); got != c.want {
-			t.Errorf("%s: independentlyHarmless = %v, want %v", c.name, got, c.want)
 		}
 	}
 }

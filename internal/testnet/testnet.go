@@ -1,8 +1,9 @@
 // Package testnet builds the paper's evaluation networks: the 6-node
 // three-AS network of Fig. 2 (iBGP + eBGP + IS-IS), the 3-node Fig. 3 line
-// with the misordered interface configuration, and a parameterized WAN
-// replica for the convergence experiment. Tests, examples, and the
-// benchmark harness all draw their scenarios from here.
+// with the misordered interface configuration, a parameterized WAN replica
+// for the convergence experiment, and the 3-router eBGP Triangle with its
+// two-state Disagree variant. Tests, examples, and the benchmark harness all
+// draw their scenarios from here.
 package testnet
 
 import (
@@ -179,6 +180,67 @@ func Fig3() *topology.Topology {
 		}
 		node, _ := topo.Node(spec.Hostname)
 		node.Config = confgen.EOS(spec)
+	}
+	return topo
+}
+
+// Triangle returns three EOS routers, each in its own AS (rN in AS N), with
+// eBGP over three /31 links and no policy. r1 originates 9.9.9.9/32, so r2
+// and r3 each hold a direct path and a backup through the other: one link
+// cut only reroutes, two cuts can isolate. The network has one stable state.
+func Triangle() *topology.Topology {
+	topo := &topology.Topology{Name: "triangle"}
+	specs := make([]confgen.Spec, 4)
+	for i := 1; i <= 3; i++ {
+		name := fmt.Sprintf("r%d", i)
+		topo.Nodes = append(topo.Nodes, topology.Node{Name: name, Vendor: topology.VendorEOS})
+		specs[i] = confgen.Spec{Hostname: name, BGP: &confgen.BGP{ASN: uint32(i)}}
+	}
+	origin := netip.MustParsePrefix("9.9.9.9/32")
+	specs[1].Interfaces = []confgen.Iface{{Name: "Loopback0", Addr: origin}}
+	specs[1].BGP.Networks = []netip.Prefix{origin}
+	// link joins rA and rZ over 10.0.AZ.0/31 with an eBGP session across it.
+	link := func(a int, ai string, z int, zi string) {
+		topo.Links = append(topo.Links, topology.Link{
+			A: topology.Endpoint{Node: fmt.Sprintf("r%d", a), Interface: ai},
+			Z: topology.Endpoint{Node: fmt.Sprintf("r%d", z), Interface: zi},
+		})
+		p := netip.MustParsePrefix(fmt.Sprintf("10.0.%d%d.0/31", a, z))
+		specs[a].Interfaces = append(specs[a].Interfaces, confgen.Iface{Name: ai, Addr: p})
+		specs[z].Interfaces = append(specs[z].Interfaces, confgen.Iface{Name: zi, Addr: netip.PrefixFrom(p.Addr().Next(), 31)})
+		specs[a].BGP.Neighbors = append(specs[a].BGP.Neighbors, confgen.Neighbor{Addr: p.Addr().Next(), RemoteAS: uint32(z)})
+		specs[z].BGP.Neighbors = append(specs[z].BGP.Neighbors, confgen.Neighbor{Addr: p.Addr(), RemoteAS: uint32(a)})
+	}
+	link(1, "Ethernet1", 2, "Ethernet1")
+	link(1, "Ethernet2", 3, "Ethernet1")
+	link(2, "Ethernet2", 3, "Ethernet2")
+	for i := range topo.Nodes {
+		topo.Nodes[i].Config = confgen.EOS(specs[i+1])
+	}
+	return topo
+}
+
+// Disagree returns the Triangle with r2 and r3 each preferring the other's
+// route to 9.9.9.9 (local-preference 200 inbound on the r2–r3 session): the
+// textbook two-solution instance of the stable paths problem (Griffin,
+// Shepherd and Wilfong, 2002). Which state the network settles in depends
+// on event order.
+func Disagree() *topology.Topology {
+	topo := Triangle()
+	topo.Name = "disagree"
+	for name, peer := range map[string]string{"r2": "10.0.23.1", "r3": "10.0.23.0"} {
+		node, _ := topo.Node(name)
+		var out []string
+		for _, line := range strings.Split(node.Config, "\n") {
+			if line == "end" {
+				out = append(out, "route-map PREFER permit 10", "   set local-preference 200")
+			}
+			out = append(out, line)
+			if strings.HasPrefix(line, "   neighbor "+peer+" remote-as ") {
+				out = append(out, "   neighbor "+peer+" route-map PREFER in")
+			}
+		}
+		node.Config = strings.Join(out, "\n")
 	}
 	return topo
 }

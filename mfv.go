@@ -329,12 +329,12 @@ func LintAFTs(topo *Topology, afts map[string]*AFT) DiagnosticList {
 // skipped: their empty table is the containment contract.
 func LintLive(em *kne.Emulator) DiagnosticList { return lint.ValidateLive(em) }
 
-// Failure sweep: exhaustive k-failure resilience exploration with pruned
-// enumeration and ranked blast radii (run after a pipeline run, against
-// Result.Emulator).
+// Failure sweep: exhaustive k-failure resilience exploration with
+// fingerprint-shared verification and ranked blast radii (run after a
+// pipeline run, against Result.Emulator).
 type (
 	// SweepOptions configures a failure sweep: depth (k=1 or 2), element
-	// kinds, worker pool, and the Brute switch disabling the prunes.
+	// kinds, worker pool, and the Brute switch disabling the prune.
 	SweepOptions = sweep.Options
 	// SweepReport is the full sweep outcome, rows ranked worst-first.
 	SweepReport = sweep.Report

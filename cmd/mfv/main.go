@@ -214,8 +214,8 @@ crash-safety flags: -from-snapshot FILE on run/diff/reach/trace/loops (restore
   sweep (gates its baseline on the snapshot's dataplane hash); sweep
   -journal DIR (write-ahead journal of per-candidate verdicts), sweep
   -resume DIR (skip journaled candidates after a crash; the resumed report
-  is byte-identical to an uninterrupted run), sweep -retry-budget N (attempts
-  before a panicking candidate is poisoned in the report, default 3)
+  is byte-identical to an uninterrupted run); a candidate whose evaluation
+  panics three times is poisoned in the report instead of failing the sweep
 budget flags (every subcommand that boots an emulation): -timeout DUR
   (wall-clock budget; an expired budget stops the run between steps, emits
   whatever partial report exists, and exits 5); SIGINT/SIGTERM cancel the
@@ -229,8 +229,8 @@ observability flags: -listen ADDR (every emulating subcommand; live HTTP
   (machine-readable report instead of tables)
 performance flags: -workers N (worker-pool size for verification and the
   sweep's replica lanes, default GOMAXPROCS; results are byte-identical at
-  any worker count — sweep additionally takes -replicas N and -mem-budget B
-  to size the emulation replica pool);
+  any worker count — sweep runs one emulation lane per worker, capped by
+  -mem-budget B);
   -shard-regions (converge disconnected topology regions in parallel
   emulators and stream their tables into one verification snapshot — the
   10k-router scale path; incompatible with -chaos and -gnmi);
@@ -888,20 +888,19 @@ func cmdSweep(args []string) error {
 	kindCSV := f.fs.String("kinds", "link,node,bgp", "comma-separated failure element kinds")
 	brute := f.fs.Bool("brute", false, "disable the fingerprint prune (every candidate verified; the ranked table is unchanged)")
 	top := f.fs.Int("top", 0, "print only the worst N rows (0 = all)")
-	replicas := f.fs.Int("replicas", 0, "emulation replica lanes for the apply/settle/rollback chains (0 = derive from -workers; capped by the memory budget)")
 	memBudget := f.fs.Int64("mem-budget", 0, "replica-pool memory budget in bytes (0 = 8 GiB; pool capped at budget / (routers × 256 KiB))")
 	journal := f.fs.String("journal", "", "append each candidate verdict to a write-ahead journal in this directory (crash insurance; pair with -resume)")
 	resume := f.fs.String("resume", "", "resume from the journal in this directory: already-completed candidates are restored, not re-verified (implies -journal DIR)")
-	retry := f.fs.Int("retry-budget", 0, "evaluation attempts per candidate before a repeatedly panicking lane poisons it in the report (0 = default 3)")
 	f.fs.Parse(args)
 	if f.workers <= 0 {
 		return usagef("sweep: -workers must be positive (got %d)", f.workers)
 	}
-	if *replicas < 0 {
-		return usagef("sweep: -replicas must be non-negative (got %d)", *replicas)
+	if *k != 1 && *k != 2 {
+		return usagef("sweep: -k must be 1 or 2 (got %d)", *k)
 	}
-	if *retry < 0 {
-		return usagef("sweep: -retry-budget must be non-negative (got %d)", *retry)
+	kinds, err := mfv.ParseSweepKinds(*kindCSV)
+	if err != nil {
+		return usagef("%v", err)
 	}
 	journalDir, resuming := *journal, false
 	if *resume != "" {
@@ -911,10 +910,6 @@ func cmdSweep(args []string) error {
 		journalDir, resuming = *resume, true
 	}
 	return f.bracket(func() error {
-		kinds, err := mfv.ParseSweepKinds(*kindCSV)
-		if err != nil {
-			return err
-		}
 		// -from-snapshot supplies the topology (the snapshot embeds it) and,
 		// after the baseline converges, gates the sweep on dataplane-hash
 		// equality: journaled verdicts are only comparable when the healthy
@@ -934,8 +929,7 @@ func cmdSweep(args []string) error {
 		}
 		rep, err := mfv.RunSweep(res, topo, mfv.SweepOptions{
 			K: *k, Kinds: kinds, Workers: f.workers, Brute: *brute,
-			Replicas: *replicas, MemoryBudget: *memBudget,
-			JournalDir: journalDir, Resume: resuming, RetryBudget: *retry,
+			MemoryBudget: *memBudget, JournalDir: journalDir, Resume: resuming,
 			Ctx: f.ctx, Obs: f.observer(),
 		})
 		if err != nil {

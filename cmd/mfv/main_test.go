@@ -73,6 +73,9 @@ func TestExitCodePrecedence(t *testing.T) {
 		{"lint -live honours timeout", cmdLint, []string{"-topo", topo, "-live", "-timeout", "1ns"}, exitTimeout},
 		{"snapshot save honours timeout", cmdSnapshot, []string{"save", "-topo", topo, "-file", filepath.Join(t.TempDir(), "never.snap"), "-timeout", "1ns"}, exitTimeout},
 		{"bad flag value", cmdSweep, []string{"-topo", topo, "-workers", "0"}, exitUsage},
+		// Both are caught before the topology boots, not after it converges.
+		{"sweep bad depth", cmdSweep, []string{"-topo", topo, "-k", "3"}, exitUsage},
+		{"sweep bad kinds", cmdSweep, []string{"-topo", topo, "-kinds", "bogus"}, exitUsage},
 		// whatif is gone; the error must name what does dispatch, show included.
 		{"unknown subcommand", func(a []string) error { return dispatch("whatif", a) }, nil, exitUsage},
 		{"snapshot without -file", cmdSnapshot, []string{"load"}, exitUsage},

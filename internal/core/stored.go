@@ -10,9 +10,9 @@ import (
 
 // CaptureSnapshot packages a completed emulation run into a durable
 // store.Snapshot: the topology (configs embedded), every device's AFT, the
-// per-router FIB generation stamps, the emulation seed, and the virtual
-// timings. The snapshot is self-contained — RunFromSnapshot rebuilds the
-// verification network from it with no emulation and no topology file.
+// emulation seed, and the virtual timings. The snapshot is self-contained —
+// RunFromSnapshot rebuilds the verification network from it with no
+// emulation and no topology file.
 func CaptureSnapshot(topo *topology.Topology, res *Result) (*store.Snapshot, error) {
 	if res == nil || res.Backend != BackendEmulation {
 		return nil, fmt.Errorf("core: snapshots capture emulation runs only (got backend %v)", res.Backend)
@@ -24,19 +24,13 @@ func CaptureSnapshot(topo *topology.Topology, res *Result) (*store.Snapshot, err
 	if err != nil {
 		return nil, fmt.Errorf("core: marshaling topology for snapshot: %w", err)
 	}
+	// Sharded runs keep no emulator; seed 0 records that the capture has no
+	// single-emulation provenance.
 	var seed int64
-	var stamps map[string]store.Stamp
 	if em := res.Emulator; em != nil {
 		seed = em.Sim().Seed()
-		gens := em.FIBGenerations()
-		stamps = make(map[string]store.Stamp, len(gens))
-		for name, g := range gens {
-			stamps[name] = store.Stamp{Epoch: g.Epoch, Gen: g.Gen}
-		}
 	}
-	// Sharded runs keep no emulator; seed 0 and nil stamps record that the
-	// capture has no single-emulation provenance.
-	return store.New(topoJSON, res.AFTs, stamps, seed, res.StartupAt, res.ConvergedAt)
+	return store.New(topoJSON, res.AFTs, seed, res.StartupAt, res.ConvergedAt)
 }
 
 // RunFromSnapshot rebuilds a verification-ready Result from a stored

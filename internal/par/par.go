@@ -1,8 +1,8 @@
 // Package par is the repository's one bounded pool for indexed work: every
 // place that fans fn(i), i in [0, n), across goroutines — batch verification
-// queries, dirty-AFT rendering, replica and region boots, the sweep's deferred
-// differentials — calls Do. (The sweep's lane rounds are not indexed work:
-// lanes own emulator state and are supervised, so they keep their own loop.)
+// queries, dirty-AFT rendering, replica and region boots, the sweep's lane
+// rounds (one index and one worker per lane) and its deferred differentials
+// — calls Do.
 package par
 
 import (

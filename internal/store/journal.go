@@ -46,7 +46,9 @@ type JournalHeader struct {
 	Baseline string `json:"baseline"`
 }
 
-// JournalEntry is one durable per-candidate verdict. Entries are
+// JournalEntry is one durable per-candidate verdict, and the sweep's only
+// per-candidate record: the engine fills it as it evaluates and verifies,
+// journals it as is, and builds the report row from it. Entries are
 // self-contained — resume rebuilds report rows from them without re-running
 // emulation or verification.
 type JournalEntry struct {

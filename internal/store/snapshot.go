@@ -45,19 +45,10 @@ const headerLen = 8 + 4 + 8 + 4
 // formats; it has hardware support on every platform Go targets.
 var crcTable = crc32.MakeTable(crc32.Castagnoli)
 
-// Stamp is the serialized form of one router's FIB generation stamp
-// (kne.GenStamp): Epoch counts incarnations, Gen the incarnation's FIB
-// generation. Stored so a future consumer can diff a restored snapshot
-// against a live emulation without re-exporting clean routers.
-type Stamp struct {
-	Epoch uint64 `json:"epoch"`
-	Gen   uint64 `json:"gen"`
-}
-
 // Snapshot is the durable converged-state artifact: everything needed to
 // rebuild the verification network (topology with embedded configs plus every
 // device's AFT) and to detect drift against a live emulation (content hashes,
-// generation stamps, the emulation seed).
+// the emulation seed).
 type Snapshot struct {
 	// CreatedUnix is the wall-clock capture time. Informational only — it is
 	// excluded from every identity check so re-captures of identical state
@@ -79,8 +70,6 @@ type Snapshot struct {
 	// StartupAt / ConvergedAt preserve the producing run's virtual timings.
 	StartupAt   time.Duration `json:"startup_at_ns"`
 	ConvergedAt time.Duration `json:"converged_at_ns"`
-	// Stamps are the per-router FIB generation stamps at capture.
-	Stamps map[string]Stamp `json:"stamps,omitempty"`
 	// AFTJSON holds each device's marshaled forwarding table.
 	AFTJSON map[string]json.RawMessage `json:"afts"`
 
@@ -113,7 +102,7 @@ func HashAFTs(afts map[string]*aft.AFT) string {
 // New builds a snapshot from live state, marshaling each AFT and computing
 // the identity hashes. The topology JSON must be the canonical
 // topology.Marshal output (it is re-parsed on decode).
-func New(topoJSON []byte, afts map[string]*aft.AFT, stamps map[string]Stamp, seed int64, startupAt, convergedAt time.Duration) (*Snapshot, error) {
+func New(topoJSON []byte, afts map[string]*aft.AFT, seed int64, startupAt, convergedAt time.Duration) (*Snapshot, error) {
 	if _, err := topology.Parse(topoJSON); err != nil {
 		return nil, fmt.Errorf("store: snapshot topology does not parse: %w", err)
 	}
@@ -125,7 +114,6 @@ func New(topoJSON []byte, afts map[string]*aft.AFT, stamps map[string]Stamp, see
 		DataplaneHash: HashAFTs(afts),
 		StartupAt:     startupAt,
 		ConvergedAt:   convergedAt,
-		Stamps:        stamps,
 		AFTJSON:       make(map[string]json.RawMessage, len(afts)),
 	}
 	for name, a := range afts {

@@ -1,7 +1,10 @@
 package store_test
 
 import (
+	"encoding/binary"
+	"encoding/json"
 	"errors"
+	"hash/crc32"
 	"net/netip"
 	"os"
 	"path/filepath"
@@ -27,11 +30,7 @@ func buildSnapshot(t testing.TB) *store.Snapshot {
 		"r1": buildAFT(t, "r1", "10.0.0.0/24"),
 		"r2": buildAFT(t, "r2", "10.0.1.0/24"),
 	}
-	stamps := map[string]store.Stamp{
-		"r1": {Epoch: 1, Gen: 7},
-		"r2": {Epoch: 1, Gen: 9},
-	}
-	s, err := store.New(topoJSON, afts, stamps, 42, 3*time.Second, 40*time.Second)
+	s, err := store.New(topoJSON, afts, 42, 3*time.Second, 40*time.Second)
 	if err != nil {
 		t.Fatalf("store.New: %v", err)
 	}
@@ -63,9 +62,6 @@ func TestSnapshotRoundTrip(t *testing.T) {
 	if got.TopologyHash != s.TopologyHash || got.DataplaneHash != s.DataplaneHash {
 		t.Fatalf("hashes did not round-trip")
 	}
-	if got.Stamps["r2"] != (store.Stamp{Epoch: 1, Gen: 9}) {
-		t.Fatalf("stamps did not round-trip: %+v", got.Stamps)
-	}
 	topo, err := got.Topology()
 	if err != nil {
 		t.Fatalf("topology: %v", err)
@@ -85,6 +81,40 @@ func TestSnapshotRoundTrip(t *testing.T) {
 	}
 	if store.HashAFTs(afts) != s.DataplaneHash {
 		t.Fatalf("restored dataplane hash mismatch")
+	}
+}
+
+// TestSnapshotDecodesStampedPayload: snapshots written before the FIB
+// generation stamps were dropped carry a "stamps" object. Such a file must
+// still decode and validate, with its content intact.
+func TestSnapshotDecodesStampedPayload(t *testing.T) {
+	s := buildSnapshot(t)
+	data, err := s.Encode()
+	if err != nil {
+		t.Fatalf("encode: %v", err)
+	}
+	const headerLen = 24
+	var fields map[string]json.RawMessage
+	if err := json.Unmarshal(data[headerLen:], &fields); err != nil {
+		t.Fatalf("payload: %v", err)
+	}
+	fields["stamps"] = json.RawMessage(`{"r1":{"epoch":1,"gen":7},"r2":{"epoch":1,"gen":9}}`)
+	payload, err := json.Marshal(fields)
+	if err != nil {
+		t.Fatal(err)
+	}
+	old := append([]byte(nil), data[:headerLen]...)
+	binary.LittleEndian.PutUint64(old[12:20], uint64(len(payload)))
+	binary.LittleEndian.PutUint32(old[20:24], crc32.Checksum(payload, crc32.MakeTable(crc32.Castagnoli)))
+	got, err := store.Decode(append(old, payload...))
+	if err != nil {
+		t.Fatalf("decode stamped payload: %v", err)
+	}
+	if got.DataplaneHash != s.DataplaneHash || got.Seed != 42 {
+		t.Fatalf("stamped payload decoded to different content: %+v", got)
+	}
+	if _, err := got.AFTs(); err != nil {
+		t.Fatalf("afts: %v", err)
 	}
 }
 

@@ -50,9 +50,18 @@ const defaultMemoryBudget int64 = 8 << 30
 // identical to a single-barrier walk over the whole list.
 const chunkSize = 32
 
-// defaultRetryBudget caps re-attempts of a candidate whose evaluation
-// panicked before the candidate is poisoned.
-const defaultRetryBudget = 3
+// retryBudget caps the evaluation attempts of a candidate that keeps
+// panicking: the attempt that exhausts it poisons the candidate.
+const retryBudget = 3
+
+// settleHold is the quiet window that counts as settled. Same floor as the
+// chaos engine: it must outlast the BGP HoldTime (90s) or silent link cuts
+// settle "harmlessly" before their withdrawals begin. settleTimeout bounds
+// each settle wait on the virtual clock.
+const (
+	settleHold    = 2 * time.Minute
+	settleTimeout = 30 * time.Minute
+)
 
 // Enumerate lists the failure elements of the requested kinds present in the
 // healthy emulation, in canonical order (links, then nodes, then BGP; each
@@ -106,43 +115,20 @@ func Enumerate(em *kne.Emulator, topo *topology.Topology, kinds []Kind) []Elemen
 	return out
 }
 
-// verdict is a candidate's verification result in self-contained, journalable
-// form: the counts the report ranks on plus the rendered (capped) diff
-// sample. Live verify.Diff values need the in-memory baseline and impact
-// networks; a verdict does not, which is what lets a resumed sweep restore
-// rows without re-running emulation or verification.
-type verdict struct {
-	Lost    int
-	Changed int
-	Diffs   []string
-}
-
-// outcome carries one candidate's measurements through the two phases:
-// the apply/settle/rollback lanes fill everything except verdict, which the
-// parallel verification phase computes (or copies from the fingerprint
-// representative), or journal restore supplies whole.
+// outcome is one candidate's result. Its journal entry is the one record of
+// it: evaluate fills the measurements, verifyChunk the verdict (the rendered,
+// capped diff sample, so a resumed sweep restores rows without re-running
+// emulation or verification), recordPanic a poisoning; journal restore
+// supplies the entry whole. The other fields live only in this process.
 type outcome struct {
-	cand        Candidate
-	base        snapchain.Snap // healthy baseline this candidate was measured against
-	impact      snapchain.Snap // settled degraded state
-	dirty       []string       // routers whose FIB the failure touched
-	fp          string         // equivalence-group fingerprint
-	reconv      time.Duration
-	stragglers  []string
-	quarantined []string
-	residue     int      // flows still diverging after rollback
-	pruned      string   // "" or "fingerprint"
-	dupOf       *outcome // representative whose verdict this candidate shares
-	verdict     *verdict
+	store.JournalEntry
+	cand   Candidate
+	base   snapchain.Snap // healthy baseline this candidate was measured against
+	impact snapchain.Snap // settled degraded state
+	dupOf  *outcome       // representative whose verdict this candidate shares
 	// restored marks an outcome rebuilt from a journal entry (not evaluated
 	// or verified in this process).
 	restored bool
-	// wasRep marks an outcome that ran (or, restored, had run) its own
-	// verification; restored reps count toward Report.Verified.
-	wasRep bool
-	// poisoned, when non-empty, records the final panic message of a
-	// candidate that exhausted the retry budget.
-	poisoned string
 }
 
 // replica is one lane of the emulation pool: an emulator (the primary, or a
@@ -179,19 +165,15 @@ type replica struct {
 }
 
 type engine struct {
-	em      *kne.Emulator
-	topo    *topology.Topology
-	obs     *obs.Observer
-	chain   *snapchain.Chain
-	opts    Options
-	hold    time.Duration
-	timeout time.Duration
+	em    *kne.Emulator
+	topo  *topology.Topology
+	obs   *obs.Observer
+	chain *snapchain.Chain
+	opts  Options
 
 	// pool holds the emulation lanes; pool[0] starts as the primary (it may
 	// be replaced by an owned rebuild if the primary lane fails mid-sweep).
 	pool []*replica
-	// failed flags a fatal lane error so other lanes stop picking up work.
-	failed atomic.Bool
 	// baseFP is the primary's state fingerprint at the canonical converged
 	// baseline, captured before any candidate runs: the gate every rebuilt
 	// lane must match.
@@ -202,9 +184,7 @@ type engine struct {
 	// repByFP maps fingerprint -> the verified representative outcome.
 	repByFP map[string]*outcome
 
-	verified int
-
-	// journal, when non-nil, receives every verdict at chunk barriers;
+	// journal, when non-nil, receives every entry at chunk barriers;
 	// resumed holds the journal entries of a resumed run, keyed by canonical
 	// candidate description.
 	journal *store.Journal
@@ -212,8 +192,12 @@ type engine struct {
 }
 
 // Run sweeps the emulation. The emulator must be started and converged; the
-// sweep advances virtual time itself and leaves the network restored (any
-// candidate that failed to heal is reported via Residue).
+// sweep advances virtual time itself and rolls every candidate back. A
+// rollback need not return to the baseline's converged state: on
+// testnet.Disagree, fail-then-restore can land in the other stable BGP
+// solution, so the caller's emulator may end the sweep there, with every flow
+// still delivered and zero Residue (ROADMAP 17b). Residue counts only flows
+// whose outcome a rollback failed to restore.
 func Run(em *kne.Emulator, topo *topology.Topology, opts Options) (*Report, error) {
 	if opts.K < 1 || opts.K > 2 {
 		return nil, fmt.Errorf("sweep: k=%d unsupported (want 1 or 2)", opts.K)
@@ -227,18 +211,7 @@ func Run(em *kne.Emulator, topo *topology.Topology, opts Options) (*Report, erro
 		obs:     opts.Obs,
 		chain:   snapchain.New(em, topo, opts.Obs),
 		opts:    opts,
-		hold:    opts.Hold,
-		timeout: opts.Timeout,
 		repByFP: map[string]*outcome{},
-	}
-	if e.hold == 0 {
-		// Same floor as the chaos engine: the quiet window must outlast
-		// the BGP HoldTime (90s) or silent link cuts settle "harmlessly"
-		// before their withdrawals begin.
-		e.hold = 2 * time.Minute
-	}
-	if e.timeout == 0 {
-		e.timeout = 30 * time.Minute
 	}
 	e.chain.SetWorkers(opts.Workers)
 
@@ -294,28 +267,23 @@ func Run(em *kne.Emulator, topo *topology.Topology, opts Options) (*Report, erro
 		return nil, err
 	}
 	rep.Interrupted = interrupted
-	all := e.merge(out)
-
 	rep.FinishedAt = em.Sim().Now()
 	rep.Wall = time.Since(wallStart)
-	e.assemble(rep, all)
+	e.assemble(rep, out)
 	return rep, nil
 }
 
-// buildPool sizes and constructs the emulation lanes. The desired size is
-// Replicas (or Workers when unset), capped by the candidate count and the
-// memory budget. Replica construction failure is never fatal: the sweep
-// degrades to the single-lane sequential path, which is always correct.
-func (e *engine) buildPool(nCands int) {
-	want := e.opts.Replicas
-	if want == 0 {
-		want = e.opts.Workers
-	}
+// buildPool sizes and constructs the emulation lanes: one per worker,
+// capped by the failure element count and the memory budget. Replica
+// construction failure is never fatal: the sweep degrades to the single-lane
+// sequential path, which is always correct.
+func (e *engine) buildPool(nElems int) {
+	want := e.opts.Workers
 	if want <= 0 {
 		want = runtime.GOMAXPROCS(0)
 	}
-	if want > nCands {
-		want = nCands
+	if want > nElems {
+		want = nElems
 	}
 	budget := e.opts.MemoryBudget
 	if budget <= 0 {
@@ -329,35 +297,17 @@ func (e *engine) buildPool(nCands int) {
 	if want < 1 {
 		want = 1
 	}
-	e.pool = []*replica{e.newLane(e.em, e.chain, false)}
-	if want == 1 {
-		return
-	}
-	ems, err := e.buildReplicas(want - 1)
-	if err != nil || len(ems) == 0 {
-		e.obs.Metrics().Counter("sweep_replica_fallback_total").Inc()
-		return
-	}
-	for _, rem := range ems {
-		chain := e.chain.Fork(rem)
-		if _, err := chain.Snapshot(); err != nil {
+	e.pool = []*replica{{em: e.em, chain: e.chain}}
+	if want > 1 {
+		if lanes := e.fork(want - 1); lanes != nil {
+			e.pool = append(e.pool, lanes...)
+		} else {
 			e.obs.Metrics().Counter("sweep_replica_fallback_total").Inc()
-			for _, x := range ems {
-				x.Stop()
-			}
-			e.pool = e.pool[:1]
-			return
 		}
-		e.pool = append(e.pool, e.newLane(rem, chain, true))
 	}
-}
-
-// newLane wraps an emulator and its chain as the next lane of the pool.
-func (e *engine) newLane(em *kne.Emulator, chain *snapchain.Chain, owned bool) *replica {
-	label := fmt.Sprint(len(e.pool))
-	return &replica{
-		id: len(e.pool), em: em, chain: chain, owned: owned, label: label,
-		evaluated: e.obs.Metrics().Counter("sweep_replica_candidates_total", "replica", label),
+	for i, r := range e.pool {
+		r.id, r.label = i, fmt.Sprint(i)
+		r.evaluated = e.obs.Metrics().Counter("sweep_replica_candidates_total", "replica", r.label)
 	}
 }
 
@@ -365,14 +315,34 @@ func (e *engine) newLane(em *kne.Emulator, chain *snapchain.Chain, owned bool) *
 // so tests can inject a deterministic build failure.
 var testHookBuildReplicas func(n int) ([]*kne.Emulator, error)
 
-// buildReplicas boots n lanes through kne.BuildReplicas, gated on the
+// fork boots n engine-owned lanes through kne.BuildReplicas, gated on the
 // canonical converged baseline fingerprint (captured before any candidate
-// ran, so mid-sweep rebuilds cannot inherit primary drift).
-func (e *engine) buildReplicas(n int) ([]*kne.Emulator, error) {
+// ran, so mid-sweep rebuilds cannot inherit primary drift), each with a
+// snapshot chain forked from the primary's and snapshotted at the baseline.
+// It returns all n lanes or, stopping whatever it booted, none.
+func (e *engine) fork(n int) []*replica {
+	var ems []*kne.Emulator
+	var err error
 	if testHookBuildReplicas != nil {
-		return testHookBuildReplicas(n)
+		ems, err = testHookBuildReplicas(n)
+	} else {
+		ems, err = kne.BuildReplicas(e.em, n, e.baseFP, settleHold, settleTimeout)
 	}
-	return kne.BuildReplicas(e.em, n, e.baseFP, e.hold, e.timeout)
+	if err != nil {
+		return nil
+	}
+	lanes := make([]*replica, n)
+	for i, rem := range ems {
+		chain := e.chain.Fork(rem)
+		if _, err := chain.Snapshot(); err != nil {
+			for _, x := range ems {
+				x.Stop()
+			}
+			return nil
+		}
+		lanes[i] = &replica{em: rem, chain: chain, owned: true}
+	}
+	return lanes
 }
 
 // stopPool releases every engine-owned lane emulator: the original replay
@@ -440,10 +410,6 @@ func (e *engine) runChunk(cands []Candidate, out []*outcome) (bool, error) {
 	if len(todo) == 0 {
 		return false, nil
 	}
-	budget := e.opts.RetryBudget
-	if budget <= 0 {
-		budget = defaultRetryBudget
-	}
 	attempts := make(map[int]int)
 	// Emit in canonical order (matching the merged slots), not apply order,
 	// whether the chunk completes or is interrupted mid-round.
@@ -465,7 +431,7 @@ func (e *engine) runChunk(cands []Candidate, out []*outcome) (bool, error) {
 		if len(lanes) == 0 {
 			return false, fmt.Errorf("sweep: no usable emulation lanes remain (every lane failed and none could be rebuilt)")
 		}
-		interrupted, err := e.round(cands, out, pending, lanes, attempts, budget)
+		interrupted, err := e.round(cands, out, pending, lanes, attempts)
 		if err != nil {
 			return false, err
 		}
@@ -476,83 +442,67 @@ func (e *engine) runChunk(cands []Candidate, out []*outcome) (bool, error) {
 	}
 }
 
-// round makes one supervised pass: the pending chunk indices stride across
-// the given lanes. A lane stops early when condemned (panic or drift); its
-// remaining indices stay nil and the next round requeues them.
-func (e *engine) round(cands []Candidate, out []*outcome, pending []int, lanes []*replica, attempts map[int]int, budget int) (bool, error) {
-	n := len(lanes)
-	errs := make([]error, n)
-	ints := make([]bool, n)
-	var wg sync.WaitGroup
-	for li := 0; li < n; li++ {
-		wg.Add(1)
-		go func(li int) {
-			defer wg.Done()
-			lane := lanes[li]
-			for j := li; j < len(pending); j += n {
-				if e.interrupted() {
-					ints[li] = true
-					return
-				}
-				if e.failed.Load() {
-					return
-				}
-				idx := pending[j]
-				epochBefore := lane.epoch
-				o, err := e.evaluateGuarded(lane, cands[idx])
-				if err != nil {
-					if pe, ok := err.(panicError); ok {
-						lane.broken = "panic"
-						e.recordPanic(cands[idx], idx, out, attempts, budget, pe)
-						return
-					}
-					if e.interrupted() {
-						// Cancellation surfaced mid-candidate as an evaluation
-						// error. The candidate's slot stays nil (it was never
-						// verified), which is exactly the interrupted-report
-						// contract: journal what finished, flag the rest.
-						ints[li] = true
-						return
-					}
-					errs[li] = err
-					e.failed.Store(true)
-					return
-				}
-				out[idx] = o
-				if lane.epoch > epochBefore {
-					// The rollback left drifted content. The outcome stands —
-					// it was measured against the pre-drift baseline — but
-					// the lane needs a rebuild before taking more work.
-					lane.broken = "drift"
-					return
-				}
+// round makes one supervised pass, one par.Do index and one worker per lane:
+// the pending chunk indices stride across the lanes. A lane stops early when
+// condemned (panic or drift); its remaining indices stay nil and the next
+// round requeues them. The round reports an interruption only when a lane
+// saw one, so a chunk that finishes as the budget expires is complete.
+func (e *engine) round(cands []Candidate, out []*outcome, pending []int, lanes []*replica, attempts map[int]int) (bool, error) {
+	var interrupted, failed atomic.Bool
+	err := par.Do(len(lanes), len(lanes), func(li int) error {
+		lane := lanes[li]
+		for j := li; j < len(pending); j += len(lanes) {
+			if e.interrupted() {
+				interrupted.Store(true)
+				return nil
 			}
-		}(li)
-	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return false, err
+			if failed.Load() {
+				return nil
+			}
+			idx := pending[j]
+			epochBefore := lane.epoch
+			o, err := e.evaluateGuarded(lane, cands[idx])
+			if pe, ok := err.(panicError); ok {
+				lane.broken = "panic"
+				e.recordPanic(cands[idx], idx, out, attempts, pe)
+				return nil
+			}
+			if err != nil {
+				if e.interrupted() {
+					// Cancellation surfaced mid-candidate as an evaluation
+					// error. The candidate's slot stays nil (it was never
+					// verified), which is exactly the interrupted-report
+					// contract: journal what finished, flag the rest.
+					interrupted.Store(true)
+					return nil
+				}
+				failed.Store(true)
+				return err
+			}
+			out[idx] = o
+			if lane.epoch > epochBefore {
+				// The rollback left drifted content. The outcome stands —
+				// it was measured against the pre-drift baseline — but
+				// the lane needs a rebuild before taking more work.
+				lane.broken = "drift"
+				return nil
+			}
 		}
-	}
-	for _, b := range ints {
-		if b {
-			return true, nil
-		}
-	}
-	return false, nil
+		return nil
+	})
+	return interrupted.Load(), err
 }
 
 // recordPanic charges one panic against a candidate's retry budget; an
 // exhausted budget poisons the candidate (an empty-verdict quarantined row)
 // so the sweep completes without it.
-func (e *engine) recordPanic(c Candidate, idx int, out []*outcome, attempts map[int]int, budget int, pe panicError) {
+func (e *engine) recordPanic(c Candidate, idx int, out []*outcome, attempts map[int]int, pe panicError) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	attempts[idx]++
 	m := e.obs.Metrics()
-	if attempts[idx] >= budget {
-		out[idx] = &outcome{cand: c, poisoned: pe.Error(), verdict: &verdict{}}
+	if attempts[idx] >= retryBudget {
+		out[idx] = &outcome{JournalEntry: store.JournalEntry{Cand: c.Describe(), Poisoned: pe.Error()}, cand: c}
 		m.Counter("sweep_candidates_poisoned_total").Inc()
 		return
 	}
@@ -624,26 +574,19 @@ func (e *engine) healPool() {
 	}
 }
 
-// rebuildLane boots a replacement emulator for the lane via the replica
-// factory (which gates it on the canonical baseline fingerprint), forks it a
-// fresh snapshot chain, and swaps it in (stopping the old emulator when the
-// engine owned it). The lane's epoch resets to zero: its baseline is
-// canonical again, so its fingerprints may be shared across lanes.
+// rebuildLane forks a replacement emulator and chain for the lane and swaps
+// them in (stopping the old emulator when the engine owned it). The lane's
+// epoch resets to zero: its baseline is canonical again, so its fingerprints
+// may be shared across lanes.
 func (e *engine) rebuildLane(lane *replica) bool {
-	ems, err := e.buildReplicas(1)
-	if err != nil || len(ems) != 1 || ems[0] == nil {
-		return false
-	}
-	rem := ems[0]
-	chain := e.chain.Fork(rem)
-	if _, err := chain.Snapshot(); err != nil {
-		rem.Stop()
+	fresh := e.fork(1)
+	if fresh == nil {
 		return false
 	}
 	if lane.owned {
 		lane.em.Stop()
 	}
-	lane.em, lane.chain, lane.epoch, lane.owned = rem, chain, 0, true
+	lane.em, lane.chain, lane.epoch, lane.owned = fresh[0].em, fresh[0].chain, 0, true
 	return true
 }
 
@@ -656,21 +599,9 @@ func (e *engine) emitCandidates(out []*outcome, todo []int) {
 	}
 	for _, i := range todo {
 		if o := out[i]; o != nil {
-			e.obs.Emit(obs.Event{Type: obs.EvSweepCandidate, Detail: o.cand.Describe(), Value: int64(len(o.dirty))})
+			e.obs.Emit(obs.Event{Type: obs.EvSweepCandidate, Detail: o.Cand, Value: int64(len(o.Dirty))})
 		}
 	}
-}
-
-// merge compacts a phase's outcome slots into the canonical-order outcome
-// list, dropping the slots an interruption left unevaluated.
-func (e *engine) merge(out []*outcome) []*outcome {
-	merged := make([]*outcome, 0, len(out))
-	for _, o := range out {
-		if o != nil {
-			merged = append(merged, o)
-		}
-	}
-	return merged
 }
 
 // sameTarget excludes degenerate pairs: failing a node and holding the same
@@ -709,7 +640,7 @@ func (e *engine) evaluate(r *replica, c Candidate) (*outcome, error) {
 	clk.Reseed(candSeed(c))
 	r.evaluated.Inc()
 
-	o := &outcome{cand: c, base: *r.chain.Last()}
+	o := &outcome{JournalEntry: store.JournalEntry{Cand: c.Describe()}, cand: c, base: *r.chain.Last()}
 	injected := clk.Now()
 	applied := 0
 	var err error
@@ -728,18 +659,15 @@ func (e *engine) evaluate(r *replica, c Candidate) (*outcome, error) {
 		return nil, fmt.Errorf("sweep: applying %s: %w", c.Describe(), err)
 	}
 
-	conv := r.em.Settle(e.hold, e.timeout)
+	conv := r.em.Settle(settleHold, settleTimeout)
 	if o.impact, err = r.chain.Snapshot(); err != nil {
 		return nil, err
 	}
-	o.dirty = snapchain.DiffStamps(o.base.Stamps, o.impact.Stamps)
-	o.reconv = conv.ConvergedAt - injected
-	if o.reconv < 0 {
-		o.reconv = 0
-	}
-	o.stragglers = conv.Stragglers
-	o.quarantined = conv.Quarantined
-	o.fp = e.fingerprint(r, o)
+	o.Dirty = snapchain.DiffStamps(o.base.Stamps, o.impact.Stamps)
+	o.ReconvNS = int64(max(conv.ConvergedAt-injected, 0))
+	o.Stragglers = conv.Stragglers
+	o.Quarantined = conv.Quarantined
+	o.FP = e.fingerprint(r, o)
 
 	// Roll back in reverse order and verify the heal: the lane's next
 	// candidate baseline is whatever state the rollback actually reached.
@@ -748,7 +676,7 @@ func (e *engine) evaluate(r *replica, c Candidate) (*outcome, error) {
 			return nil, fmt.Errorf("sweep: rolling back %s: %w", c.Describe(), err)
 		}
 	}
-	r.em.Settle(e.hold, e.timeout)
+	r.em.Settle(settleHold, settleTimeout)
 	restored, err := r.chain.Snapshot()
 	if err != nil {
 		return nil, err
@@ -768,7 +696,7 @@ func (e *engine) evaluate(r *replica, c Candidate) (*outcome, error) {
 	}
 	if drifted {
 		r.epoch++
-		o.residue = len(r.chain.Differential(o.base, restored))
+		o.Residue = len(r.chain.Differential(o.base, restored))
 	}
 	return o, nil
 }
@@ -801,7 +729,7 @@ func (e *engine) rollback(r *replica, el Element) error {
 		if err := r.em.RestoreRouter(el.Node); err != nil {
 			return err
 		}
-		return r.em.AwaitRunning(el.Node, e.timeout)
+		return r.em.AwaitRunning(el.Node, settleTimeout)
 	case KindBGP:
 		return r.em.ReleaseBGP(el.Node)
 	}
@@ -824,7 +752,7 @@ func (e *engine) fingerprint(r *replica, o *outcome) string {
 	} else {
 		fmt.Fprintf(h, "epoch=r%d.%d;", r.id, r.epoch)
 	}
-	for _, name := range o.dirty {
+	for _, name := range o.Dirty {
 		var bf, impf string
 		if a := o.base.AFTs[name]; a != nil {
 			bf = a.Fingerprint()
@@ -843,36 +771,32 @@ func (e *engine) fingerprint(r *replica, o *outcome) string {
 // candidate's own slot, so worker count and scheduling order never affect
 // output. Restored outcomes carry their journaled verdicts already; they only
 // re-register their representative role (so later candidates dedup against
-// them exactly as they did in the interrupted run) and re-count toward
-// Verified. Because chunks are canonical prefixes processed in order, the
-// repByFP state at every decision point is identical to a single-barrier
-// walk's.
+// them exactly as they did in the interrupted run). Because chunks are
+// canonical prefixes processed in order, the repByFP state at every decision
+// point is identical to a single-barrier walk's.
 func (e *engine) verifyChunk(pend []*outcome) {
 	var reps []*outcome
 	for _, o := range pend {
-		if o == nil || o.poisoned != "" {
+		if o == nil || o.Poisoned != "" {
 			continue
 		}
 		if o.restored {
-			if o.wasRep {
-				e.verified++
-			}
-			if !e.opts.Brute && o.pruned == "" && o.fp != "" {
-				if _, ok := e.repByFP[o.fp]; !ok {
-					e.repByFP[o.fp] = o
+			if !e.opts.Brute && o.Pruned == "" && o.FP != "" {
+				if _, ok := e.repByFP[o.FP]; !ok {
+					e.repByFP[o.FP] = o
 				}
 			}
 			continue
 		}
 		if !e.opts.Brute {
-			if r, ok := e.repByFP[o.fp]; ok {
-				o.pruned = "fingerprint"
+			if r, ok := e.repByFP[o.FP]; ok {
+				o.Pruned = "fingerprint"
 				o.dupOf = r
 				continue
 			}
-			e.repByFP[o.fp] = o
+			e.repByFP[o.FP] = o
 		}
-		o.wasRep = true
+		o.Rep = true
 		reps = append(reps, o)
 	}
 	g := e.obs.Metrics().Gauge("sweep_inflight")
@@ -883,34 +807,29 @@ func (e *engine) verifyChunk(pend []*outcome) {
 		o := reps[i]
 		// One worker per candidate; the per-query pool stays at 1 so the
 		// sharding happens across candidates, not within them.
-		o.verdict = verdictFromDiffs(verify.Queries{Workers: 1}.Differential(o.base.Net, o.impact.Net))
+		diffs := verify.Queries{Workers: 1}.Differential(o.base.Net, o.impact.Net)
+		// The entry keeps the counts and the diff sample capped at
+		// maxRowDiffs, as the report displays it.
+		o.Lost, o.Changed = len(snapchain.LostFlows(diffs)), len(diffs)
+		for j, d := range diffs {
+			if j == maxRowDiffs {
+				o.Diffs = append(o.Diffs, fmt.Sprintf("… (+%d more)", len(diffs)-maxRowDiffs))
+				break
+			}
+			o.Diffs = append(o.Diffs, d.String())
+		}
 		return nil
 	})
 	for _, o := range pend {
 		if o == nil {
 			continue
 		}
-		if o.dupOf != nil {
-			o.verdict = o.dupOf.verdict
+		if r := o.dupOf; r != nil {
+			o.Lost, o.Changed, o.Diffs = r.Lost, r.Changed, r.Diffs
 		}
 		// The verdict is all the report needs: release the settled snapshots.
 		o.base, o.impact = snapchain.Snap{}, snapchain.Snap{}
 	}
-	e.verified += len(reps)
-}
-
-// verdictFromDiffs renders live diffs into the journalable verdict form (the
-// per-row diff sample capped at maxRowDiffs, as the report displays it).
-func verdictFromDiffs(diffs []verify.Diff) *verdict {
-	v := &verdict{Lost: len(snapchain.LostFlows(diffs)), Changed: len(diffs)}
-	for i, d := range diffs {
-		if i == maxRowDiffs {
-			v.Diffs = append(v.Diffs, fmt.Sprintf("… (+%d more)", len(diffs)-maxRowDiffs))
-			break
-		}
-		v.Diffs = append(v.Diffs, d.String())
-	}
-	return v
 }
 
 // openJournal wires the write-ahead journal per Options: create fresh for
@@ -959,7 +878,7 @@ func (e *engine) inputHash(elems []Element) string {
 		h.Write(b)
 	}
 	fmt.Fprintf(h, ";seed=%d;k=%d;kinds=%v;brute=%v;hold=%v;timeout=%v;",
-		e.em.Sim().Seed(), e.opts.K, e.opts.Kinds, e.opts.Brute, e.hold, e.timeout)
+		e.em.Sim().Seed(), e.opts.K, e.opts.Kinds, e.opts.Brute, settleHold, settleTimeout)
 	for _, el := range elems {
 		fmt.Fprintf(h, "%s;", el.Describe())
 	}
@@ -973,31 +892,15 @@ func (e *engine) restoreSlots(cands []Candidate, out []*outcome) {
 	if len(e.resumed) == 0 {
 		return
 	}
-	m := e.obs.Metrics()
-	for i := range cands {
-		ent, ok := e.resumed[cands[i].Describe()]
-		if !ok {
-			continue
+	for i, c := range cands {
+		if ent, ok := e.resumed[c.Describe()]; ok {
+			out[i] = &outcome{JournalEntry: ent, cand: c, restored: true}
+			e.obs.Metrics().Counter("sweep_candidates_restored_total").Inc()
 		}
-		out[i] = &outcome{
-			cand:        cands[i],
-			fp:          ent.FP,
-			dirty:       ent.Dirty,
-			reconv:      time.Duration(ent.ReconvNS),
-			stragglers:  ent.Stragglers,
-			quarantined: ent.Quarantined,
-			residue:     ent.Residue,
-			pruned:      ent.Pruned,
-			poisoned:    ent.Poisoned,
-			restored:    true,
-			wasRep:      ent.Rep,
-			verdict:     &verdict{Lost: ent.Lost, Changed: ent.Changed, Diffs: ent.Diffs},
-		}
-		m.Counter("sweep_candidates_restored_total").Inc()
 	}
 }
 
-// journalChunk appends the chunk's newly produced verdicts (canonical order,
+// journalChunk appends the chunk's newly produced entries (canonical order,
 // restored entries excluded) and fsyncs — the chunk's durability barrier. lo
 // is the chunk's offset into the canonical candidate list.
 func (e *engine) journalChunk(lo int, pend []*outcome) error {
@@ -1009,27 +912,8 @@ func (e *engine) journalChunk(lo int, pend []*outcome) error {
 		if o == nil || o.restored {
 			continue
 		}
-		v := o.verdict
-		if v == nil {
-			v = &verdict{}
-		}
-		ent := store.JournalEntry{
-			Index:       lo + i,
-			Cand:        o.cand.Describe(),
-			FP:          o.fp,
-			Rep:         o.wasRep,
-			Dirty:       o.dirty,
-			ReconvNS:    int64(o.reconv),
-			Stragglers:  o.stragglers,
-			Quarantined: o.quarantined,
-			Residue:     o.residue,
-			Pruned:      o.pruned,
-			Poisoned:    o.poisoned,
-			Lost:        v.Lost,
-			Changed:     v.Changed,
-			Diffs:       v.Diffs,
-		}
-		if err := e.journal.Append(ent); err != nil {
+		o.Index = lo + i
+		if err := e.journal.Append(o.JournalEntry); err != nil {
 			return err
 		}
 		wrote = true
@@ -1040,40 +924,41 @@ func (e *engine) journalChunk(lo int, pend []*outcome) error {
 	return e.journal.Sync()
 }
 
-// assemble ranks the outcomes worst-first into the report and emits the
-// final metrics and verdict events in rank order.
-func (e *engine) assemble(rep *Report, all []*outcome) {
+// assemble ranks the outcomes worst-first into the report, skipping the
+// slots an interruption left unevaluated, and emits the final metrics and
+// verdict events in rank order.
+func (e *engine) assemble(rep *Report, out []*outcome) {
 	m := e.obs.Metrics()
-	rep.Candidates = len(all)
-	rep.Applied = len(all)
-	rep.Verified = e.verified
-	for _, o := range all {
+	for _, o := range out {
+		if o == nil {
+			continue
+		}
+		rep.Candidates++
+		if o.Rep {
+			rep.Verified++
+		}
 		label := "none"
-		if o.pruned == "fingerprint" {
+		if o.Pruned == "fingerprint" {
 			label = "fingerprint"
 			rep.PrunedFingerprint++
 		}
 		m.Counter("sweep_candidates_total", "pruned", label).Inc()
-		if o.poisoned == "" {
-			m.Histogram("sweep_reconverge_ns", "k", fmt.Sprint(len(o.cand.Elements))).Observe(int64(o.reconv))
-		}
-		v := o.verdict
-		if v == nil {
-			v = &verdict{}
+		if o.Poisoned == "" {
+			m.Histogram("sweep_reconverge_ns", "k", fmt.Sprint(len(o.cand.Elements))).Observe(o.ReconvNS)
 		}
 		row := Row{
-			Failure:       o.cand.Describe(),
+			Failure:       o.Cand,
 			K:             len(o.cand.Elements),
-			FlowsLost:     v.Lost,
-			FlowsChanged:  v.Changed,
-			DirtyRouters:  len(o.dirty),
-			ReconvergedIn: o.reconv,
-			Stragglers:    o.stragglers,
-			Quarantined:   o.quarantined,
-			Residue:       o.residue,
-			Pruned:        o.pruned,
-			Poisoned:      o.poisoned,
-			Diffs:         v.Diffs,
+			FlowsLost:     o.Lost,
+			FlowsChanged:  o.Changed,
+			DirtyRouters:  len(o.Dirty),
+			ReconvergedIn: time.Duration(o.ReconvNS),
+			Stragglers:    o.Stragglers,
+			Quarantined:   o.Quarantined,
+			Residue:       o.Residue,
+			Pruned:        o.Pruned,
+			Poisoned:      o.Poisoned,
+			Diffs:         o.Diffs,
 		}
 		if row.Poisoned != "" {
 			rep.Poisoned++
@@ -1087,6 +972,7 @@ func (e *engine) assemble(rep *Report, all []*outcome) {
 		}
 		rep.Rows = append(rep.Rows, row)
 	}
+	rep.Applied = rep.Candidates
 	sort.SliceStable(rep.Rows, func(i, j int) bool {
 		a, b := rep.Rows[i], rep.Rows[j]
 		if a.FlowsLost != b.FlowsLost {

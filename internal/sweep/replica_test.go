@@ -38,7 +38,7 @@ func reportJSON(t *testing.T, r *Report) string {
 // replica-parallel sweep must produce a ranked Report and Table byte-identical
 // to the sequential engine's, at every lane count, pruned and brute, k=1 and
 // k=2. Each configuration boots a fresh same-seed emulation, so the reference
-// (workers=1, replicas=1) and the parallel runs measure the same network.
+// (workers=1, one lane) and the parallel runs measure the same network.
 func TestSweepReplicaEquivalence(t *testing.T) {
 	topos := []struct {
 		name string
@@ -85,16 +85,16 @@ func TestSweepReplicaEquivalence(t *testing.T) {
 	}
 }
 
-// TestSweepReplicasOption pins the pool-sizing contract: Replicas overrides
-// Workers, the pool never exceeds the candidate count, and the memory budget
-// caps it at MemoryBudget / (routers × 256 KiB) lanes.
+// TestSweepReplicasOption pins the pool-sizing contract: one lane per
+// worker, never more than the failure element count, and the memory budget
+// caps the pool at MemoryBudget / (routers × 256 KiB) lanes.
 func TestSweepReplicasOption(t *testing.T) {
 	em := boot(t, testnet.Fig2(), 42)
 	// One lane models routers × 256 KiB; a budget of exactly three lanes'
-	// worth must cap an 8-lane request at 3.
+	// worth must cap an 8-worker request at 3.
 	budget := 3 * int64(len(em.Routers())) * int64(replicaBytesPerRouter)
 	rep, err := Run(em, testnet.Fig2(), Options{
-		K: 1, Kinds: []Kind{KindBGP}, Replicas: 8, MemoryBudget: budget,
+		K: 1, Kinds: []Kind{KindBGP}, Workers: 8, MemoryBudget: budget,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -104,12 +104,12 @@ func TestSweepReplicasOption(t *testing.T) {
 	}
 
 	em2 := boot(t, testnet.Fig2(), 42)
-	rep2, err := Run(em2, testnet.Fig2(), Options{K: 1, Kinds: []Kind{KindBGP}, Workers: 8, Replicas: 1})
+	rep2, err := Run(em2, testnet.Fig2(), Options{K: 1, Kinds: []Kind{KindBGP}, Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if rep2.Replicas != 1 {
-		t.Errorf("Replicas=1 ran %d lanes, want the sequential path", rep2.Replicas)
+		t.Errorf("Workers=1 ran %d lanes, want the sequential path", rep2.Replicas)
 	}
 }
 

@@ -43,7 +43,7 @@ func journalLines(t *testing.T, dir string) int {
 // TestSweepResumeByteIdentical is the tentpole acceptance check: a journaled
 // sweep truncated mid-flight (the crash) and resumed must skip every
 // journaled candidate and produce a Report (JSON) and Table byte-identical
-// to the uninterrupted run, at workers/replicas 1, 2, and 8.
+// to the uninterrupted run, at workers 1, 2, and 8.
 func TestSweepResumeByteIdentical(t *testing.T) {
 	for _, k := range []int{1, 2} {
 		t.Run(fmt.Sprintf("k%d", k), func(t *testing.T) {
@@ -82,7 +82,7 @@ func TestSweepResumeByteIdentical(t *testing.T) {
 				o := obs.NewMetricsOnly()
 				em := boot(t, testnet.Fig2(), 42)
 				got, err := Run(em, testnet.Fig2(), Options{
-					K: k, Kinds: kinds, Workers: workers, Replicas: workers,
+					K: k, Kinds: kinds, Workers: workers,
 					JournalDir: dir, Resume: true, Obs: o,
 				})
 				if err != nil {
@@ -129,6 +129,41 @@ func TestSweepResumeCompletedJournal(t *testing.T) {
 	}
 	if restored := o.Metrics().Counter("sweep_candidates_restored_total").Value(); restored != uint64(cold.Candidates) {
 		t.Errorf("restored %d, want all %d", restored, cold.Candidates)
+	}
+}
+
+// TestSweepJournalGolden pins the on-disk journal format: the whole
+// sweep.wal of a journaled Fig. 2 k=2 BGP sweep — header, input hash, every
+// entry's field names, order and values — must equal the committed golden at
+// any lane count. A journal the previous build wrote must stay resumable, so
+// a change here is a format change and needs a new JournalVersion.
+// Regenerate by copying the sweep.wal of `mfv sweep -topo fig2.json -k 2
+// -kinds bgp -journal DIR` to testdata/fig2-k2-bgp.wal.
+func TestSweepJournalGolden(t *testing.T) {
+	want, err := os.ReadFile("testdata/fig2-k2-bgp.wal")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, workers := range []int{1, 2} {
+		dir := t.TempDir()
+		em := boot(t, testnet.Fig2(), 42)
+		if _, err := Run(em, testnet.Fig2(), Options{K: 2, Kinds: []Kind{KindBGP}, Workers: workers, JournalDir: dir}); err != nil {
+			t.Fatal(err)
+		}
+		got, err := os.ReadFile(store.SweepJournalPath(dir))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if string(got) == string(want) {
+			continue
+		}
+		gl, wl := strings.Split(string(got), "\n"), strings.Split(string(want), "\n")
+		for i := range min(len(gl), len(wl)) {
+			if gl[i] != wl[i] {
+				t.Fatalf("workers=%d journal line %d differs from the golden:\nwant %s\ngot  %s", workers, i+1, wl[i], gl[i])
+			}
+		}
+		t.Fatalf("workers=%d journal has %d lines, the golden %d", workers, len(gl), len(wl))
 	}
 }
 
@@ -238,7 +273,7 @@ func TestSweepLanePanicRecovery(t *testing.T) {
 		testHookEvaluate = hook
 		o := obs.NewMetricsOnly()
 		em := boot(t, testnet.Fig2(), 42)
-		got, err := Run(em, testnet.Fig2(), Options{K: 1, Kinds: kinds, Workers: workers, Replicas: workers, Obs: o})
+		got, err := Run(em, testnet.Fig2(), Options{K: 1, Kinds: kinds, Workers: workers, Obs: o})
 		testHookEvaluate = nil
 		if err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
@@ -277,7 +312,7 @@ func TestSweepPoisonedCandidate(t *testing.T) {
 	o := obs.NewMetricsOnly()
 	dir := t.TempDir()
 	em := boot(t, testnet.Fig2(), 42)
-	got, err := Run(em, testnet.Fig2(), Options{K: 1, Kinds: []Kind{KindBGP}, Workers: 1, RetryBudget: 2, Obs: o, JournalDir: dir})
+	got, err := Run(em, testnet.Fig2(), Options{K: 1, Kinds: []Kind{KindBGP}, Workers: 1, Obs: o, JournalDir: dir})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -310,7 +345,7 @@ func TestSweepPoisonedCandidate(t *testing.T) {
 	// re-attempting the candidate.
 	testHookEvaluate = nil
 	em2 := boot(t, testnet.Fig2(), 42)
-	resumed, err := Run(em2, testnet.Fig2(), Options{K: 1, Kinds: []Kind{KindBGP}, Workers: 1, RetryBudget: 2, JournalDir: dir, Resume: true})
+	resumed, err := Run(em2, testnet.Fig2(), Options{K: 1, Kinds: []Kind{KindBGP}, Workers: 1, JournalDir: dir, Resume: true})
 	if err != nil {
 		t.Fatal(err)
 	}

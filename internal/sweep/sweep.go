@@ -109,39 +109,30 @@ type Options struct {
 	K int
 	// Kinds restricts the element classes; nil means all three.
 	Kinds []Kind
-	// Workers sizes the verification worker pool (0 = GOMAXPROCS). The
-	// ranked table is byte-identical at any value.
+	// Workers sizes the verification worker pool and the emulation lane
+	// pool (0 = GOMAXPROCS). The apply→settle→rollback chains run
+	// concurrently, one lane per worker, capped by the failure element
+	// count and by MemoryBudget. Lanes are deterministic replays of the primary
+	// (kne.BuildReplicas); a failed build is non-fatal — the sweep degrades
+	// to one lane and counts sweep_replica_fallback_total. The ranked table
+	// is byte-identical at any value.
 	Workers int
 	// Brute disables the fingerprint prune: every candidate is verified.
 	// The ranked table must be byte-identical to the pruned run's at any k.
 	Brute bool
-	// Hold is the quiet window that counts as settled (default 2m — must
-	// exceed the BGP HoldTime so silent cuts reach withdrawal).
-	Hold time.Duration
-	// Timeout bounds each candidate's settle wait (default 30m virtual).
-	Timeout time.Duration
 	// Ctx, when non-nil, interrupts the sweep between candidates: the
 	// report comes back partial with Interrupted set.
 	Ctx context.Context
 	// Obs receives progress events and metrics. Nil disables.
 	Obs *obs.Observer
-	// Replicas sizes the emulation replica pool: the apply→settle→rollback
-	// chains run concurrently, one lane per replica. 0 derives the pool
-	// from Workers; 1 forces the single-emulator sequential path. The pool
-	// is additionally capped by the candidate count and by MemoryBudget.
-	// The ranked table is byte-identical at any replica count. Lanes are
-	// deterministic replays of the primary (kne.BuildReplicas); a failed
-	// build is non-fatal — the sweep degrades to the sequential path and
-	// counts sweep_replica_fallback_total.
-	Replicas int
 	// MemoryBudget bounds the replica pool's estimated footprint in bytes
 	// (default 8 GiB): at most MemoryBudget / (routers × 256 KiB) lanes.
 	MemoryBudget int64
 	// JournalDir, when non-empty, write-ahead-journals every candidate
 	// verdict into <dir>/sweep.wal at chunk granularity (fsynced), so an
 	// interrupted sweep can be resumed. The journal is keyed by an input
-	// hash (topology, seed, k, kinds, budgets, canonical element list) and
-	// the baseline dataplane hash.
+	// hash (topology, seed, k, kinds, canonical element list) and the
+	// baseline dataplane hash.
 	JournalDir string
 	// Resume replays the journal in JournalDir before evaluating: candidates
 	// with journaled verdicts are restored without touching the emulation,
@@ -149,10 +140,6 @@ type Options struct {
 	// missing journal file degrades to a fresh journaled run; a journal
 	// recorded under a different input or baseline is an error.
 	Resume bool
-	// RetryBudget caps how many times a candidate whose evaluation panicked
-	// is re-attempted on a rebuilt lane before being poisoned (quarantined
-	// in the report with an empty verdict). 0 means the default of 3.
-	RetryBudget int
 }
 
 // Row is one ranked sweep result.
@@ -181,10 +168,9 @@ type Row struct {
 	// for directly verified candidates.
 	Pruned string `json:"pruned,omitempty"`
 	// Poisoned, when non-empty, records why this candidate has no verdict:
-	// its evaluation panicked more times than the retry budget allows, so it
-	// was quarantined (the sweep's analogue of PR 5's per-router
-	// quarantine) instead of killing the sweep. The message is the last
-	// panic value.
+	// its evaluation panicked on three attempts, so it was quarantined (the
+	// sweep's analogue of a quarantined router) instead of killing the
+	// sweep. The message is the last panic value.
 	Poisoned string `json:"poisoned,omitempty"`
 	// Diffs samples the per-flow outcome changes (capped).
 	Diffs []string `json:"diffs,omitempty"`

@@ -281,6 +281,40 @@ func TestSweepInterrupted(t *testing.T) {
 	}
 }
 
+// TestSweepBudgetExpiringOnLastCandidate: a budget that expires while the
+// last candidate is being evaluated stops nothing — every candidate has been
+// started, so the report is complete and not marked interrupted. Only a lane
+// that finds the budget gone before a candidate interrupts the sweep.
+func TestSweepBudgetExpiringOnLastCandidate(t *testing.T) {
+	opts := Options{K: 1, Kinds: []Kind{KindBGP}, Workers: 1}
+	ref := sweepFig2(t, opts)
+	last := ref.Rows[0].Failure
+	for _, row := range ref.Rows {
+		if row.Failure > last {
+			last = row.Failure
+		}
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	testHookEvaluate = func(_ int, c Candidate) {
+		if c.Describe() == last {
+			cancel()
+		}
+	}
+	defer func() { testHookEvaluate = nil }()
+	opts.Ctx = ctx
+	got := sweepFig2(t, opts)
+	if ctx.Err() == nil {
+		t.Fatalf("candidate %q was never evaluated", last)
+	}
+	if got.Interrupted {
+		t.Error("a sweep whose budget expired during its last candidate is marked interrupted")
+	}
+	if got.Table(0) != ref.Table(0) {
+		t.Errorf("table differs from the unbudgeted run:\n%s\n%s", ref.Table(0), got.Table(0))
+	}
+}
+
 func TestSweepRejectsBadK(t *testing.T) {
 	em := boot(t, testnet.Fig2(), 1)
 	for _, k := range []int{0, 3, -1} {

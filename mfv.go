@@ -380,7 +380,7 @@ type (
 )
 
 // CaptureSnapshot packages a completed emulation run into a durable
-// snapshot (AFTs, FIB generation stamps, topology hash, seed).
+// snapshot (AFTs, topology hash, seed).
 func CaptureSnapshot(topo *Topology, res *Result) (*StoredSnapshot, error) {
 	return core.CaptureSnapshot(topo, res)
 }
